@@ -63,7 +63,6 @@ serve::ServiceConfig SuiteServiceConfig(int workers) {
   cfg.gon.gat_width = 16;
   cfg.gon.generation_steps = 5;
   cfg.num_workers = workers;
-  cfg.pipeline = true;
   return cfg;
 }
 

@@ -1,12 +1,11 @@
 // Throughput/latency of the multi-tenant ResilienceService: S concurrent
 // federation sessions issue broker-failure repair decisions over a pool
-// of W GON worker replicas. Sweeps worker and session counts — in the
-// default step-driven pipeline mode plus legacy run-to-completion
-// reference cells — and emits machine-readable BENCH_service.json rows:
-//   {"workers", "sessions", "hosts", "requests", "linger_us", "pipeline",
-//    "decisions_per_sec", "p50_ms", "p99_ms", "score_batches",
-//    "stacked_jobs", "pipeline_passes", "pipeline_jobs",
-//    "pipeline_states", "stacking_ratio"}
+// of W GON worker replicas. Sweeps worker and session counts and emits
+// machine-readable BENCH_service.json rows:
+//   {"workers", "sessions", "hosts", "attention_threads", "requests",
+//    "decisions_per_sec", "p50_ms", "p99_ms", "pipeline_passes",
+//    "pipeline_jobs", "pipeline_states", "stacking_ratio",
+//    "observability"}
 // Headline checks: multi-session decision throughput must scale with the
 // worker count, and the pipeline must stack concurrent sessions'
 // frontiers into shared kernel passes with ZERO linger (stacking_ratio =
@@ -76,13 +75,9 @@ struct SweepResult {
   int hosts = kHosts;
   int attention_threads = 1;
   int requests = 0;
-  int linger_us = 0;
-  bool pipeline = true;
   double decisions_per_sec = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  std::uint64_t score_batches = 0;
-  std::uint64_t stacked_jobs = 0;
   std::uint64_t pipeline_passes = 0;
   std::uint64_t pipeline_jobs = 0;
   std::uint64_t pipeline_states = 0;
@@ -90,14 +85,11 @@ struct SweepResult {
 };
 
 SweepResult RunSweep(int workers, int sessions, int requests_per_session,
-                     bool pipeline, int linger_us = 0, int hosts = kHosts,
-                     int attention_threads = 1) {
+                     int hosts = kHosts, int attention_threads = 1) {
   const int brokers = std::max(2, hosts / 4);
   serve::ServiceConfig cfg;
   cfg.gon = BenchCarolConfig(1).gon;
   cfg.num_workers = workers;
-  cfg.pipeline = pipeline;
-  cfg.batch_linger_us = linger_us;
   cfg.attention_threads = attention_threads;
   cfg.observability = g_observability;
   serve::ResilienceService service(cfg);
@@ -141,8 +133,6 @@ SweepResult RunSweep(int workers, int sessions, int requests_per_session,
   result.sessions = sessions;
   result.hosts = hosts;
   result.attention_threads = attention_threads;
-  result.linger_us = linger_us;
-  result.pipeline = pipeline;
   result.requests = sessions * requests_per_session;
   result.decisions_per_sec = result.requests / wall_s;
   std::vector<double> all;
@@ -152,8 +142,6 @@ SweepResult RunSweep(int workers, int sessions, int requests_per_session,
   result.p50_ms = common::Percentile(all, 50.0);
   result.p99_ms = common::Percentile(all, 99.0);
   const serve::ServiceStats stats = service.stats();
-  result.score_batches = stats.score_batches;
-  result.stacked_jobs = stats.stacked_jobs;
   result.pipeline_passes = stats.pipeline_passes;
   result.pipeline_jobs = stats.pipeline_jobs;
   result.pipeline_states = stats.pipeline_states;
@@ -177,48 +165,38 @@ int main() {
   carol::bench::PrintBanner(
       std::string("ResilienceService throughput: decisions/sec and latency "
                   "vs workers x sessions (H=16 broker-failure repairs; "
-                  "pipeline mode stacks cross-session frontiers with zero "
+                  "the pipeline stacks cross-session frontiers with zero "
                   "linger; observability ") +
       (g_observability ? "ON)" : "OFF)"));
-  std::printf("%-9s %-9s %-9s %-7s %-7s %-9s %-9s %-14s %-9s %-9s %-8s "
-              "%-8s %-8s\n",
-              "mode", "workers", "sessions", "hosts", "threads", "requests",
-              "linger", "decisions/sec", "p50(ms)", "p99(ms)", "passes",
-              "jobs", "stack");
+  std::printf("%-9s %-9s %-7s %-7s %-9s %-14s %-9s %-9s %-8s %-8s %-8s\n",
+              "workers", "sessions", "hosts", "threads", "requests",
+              "decisions/sec", "p50(ms)", "p99(ms)", "passes", "jobs",
+              "stack");
 
   const std::vector<int> worker_counts = fast ? std::vector<int>{1, 4}
                                               : std::vector<int>{1, 2, 4};
   const std::vector<int> session_counts = fast ? std::vector<int>{1, 8}
                                                : std::vector<int>{1, 4, 8};
   std::vector<SweepResult> results;
-  auto run_cell = [&](int workers, int sessions, bool pipeline,
-                      int linger_us, int hosts = 16,
+  auto run_cell = [&](int workers, int sessions, int hosts = kHosts,
                       int attention_threads = 1,
                       int requests_override = 0) {
     const SweepResult r = RunSweep(
         workers, sessions,
         requests_override > 0 ? requests_override : requests_per_session,
-        pipeline, linger_us, hosts, attention_threads);
-    std::printf("%-9s %-9d %-9d %-7d %-7d %-9d %-9d %-14.1f %-9.2f %-9.2f "
-                "%-8llu %-8llu %-8.2f\n",
-                r.pipeline ? "pipeline" : "legacy", r.workers, r.sessions,
-                r.hosts, r.attention_threads, r.requests, r.linger_us,
-                r.decisions_per_sec, r.p50_ms, r.p99_ms,
+        hosts, attention_threads);
+    std::printf("%-9d %-9d %-7d %-7d %-9d %-14.1f %-9.2f %-9.2f %-8llu "
+                "%-8llu %-8.2f\n",
+                r.workers, r.sessions, r.hosts, r.attention_threads,
+                r.requests, r.decisions_per_sec, r.p50_ms, r.p99_ms,
                 static_cast<unsigned long long>(r.pipeline_passes),
                 static_cast<unsigned long long>(r.pipeline_jobs),
                 r.stacking_ratio);
     results.push_back(r);
   };
-  // The default serving mode: step-driven pipeline, zero linger.
   for (int workers : worker_counts) {
-    for (int sessions : session_counts) {
-      run_cell(workers, sessions, /*pipeline=*/true, /*linger_us=*/0);
-    }
+    for (int sessions : session_counts) run_cell(workers, sessions);
   }
-  // Legacy run-to-completion reference cells: latency-first (linger 0,
-  // never stacks) and throughput-oriented (linger window).
-  run_cell(4, 8, /*pipeline=*/false, /*linger_us=*/0);
-  run_cell(4, 8, /*pipeline=*/false, /*linger_us=*/200);
   // Large federations (H in {64, 128}): the O(H^2) attention dominates,
   // so each cell is run unthreaded and with a 4-thread per-replica
   // attention pool — same decisions, different wall clock. Fewer
@@ -226,17 +204,17 @@ int main() {
   const int large_requests = std::max(2, requests_per_session / 4);
   for (int hosts : {64, 128}) {
     for (int attention_threads : {1, 4}) {
-      run_cell(/*workers=*/2, /*sessions=*/4, /*pipeline=*/true,
-               /*linger_us=*/0, hosts, attention_threads, large_requests);
+      run_cell(/*workers=*/2, /*sessions=*/4, hosts, attention_threads,
+               large_requests);
     }
   }
 
-  // Headline scaling: 8-session pipeline throughput, 1 worker -> max
+  // Headline scaling: 8-session H=16 throughput, 1 worker -> max
   // workers; plus the zero-linger cross-session stacking ratio.
   double one_worker = 0.0, max_worker = 0.0;
   int max_workers = 0;
   for (const SweepResult& r : results) {
-    if (r.sessions != 8 || !r.pipeline) continue;
+    if (r.sessions != 8 || r.hosts != kHosts) continue;
     if (r.workers == 1) one_worker = r.decisions_per_sec;
     if (r.workers > max_workers) {
       max_workers = r.workers;
@@ -248,7 +226,7 @@ int main() {
                 max_worker / one_worker);
   }
   for (const SweepResult& r : results) {
-    if (r.pipeline && r.sessions == 8 && r.workers == max_workers) {
+    if (r.sessions == 8 && r.hosts == kHosts && r.workers == max_workers) {
       std::printf("8-session zero-linger stacking ratio (%d workers): "
                   "%.2f jobs/pass (%llu states over %llu passes)\n",
                   r.workers, r.stacking_ratio,
@@ -269,18 +247,13 @@ int main() {
         out,
         "  {\"workers\": %d, \"sessions\": %d, \"hosts\": %d, "
         "\"attention_threads\": %d, "
-        "\"requests\": %d, \"linger_us\": %d, \"pipeline\": %s, "
-        "\"decisions_per_sec\": %.3f, "
+        "\"requests\": %d, \"decisions_per_sec\": %.3f, "
         "\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"score_batches\": %llu, \"stacked_jobs\": %llu, "
         "\"pipeline_passes\": %llu, \"pipeline_jobs\": %llu, "
         "\"pipeline_states\": %llu, \"stacking_ratio\": %.3f, "
         "\"observability\": %s}%s\n",
         r.workers, r.sessions, r.hosts, r.attention_threads, r.requests,
-        r.linger_us,
-        r.pipeline ? "true" : "false", r.decisions_per_sec, r.p50_ms,
-        r.p99_ms, static_cast<unsigned long long>(r.score_batches),
-        static_cast<unsigned long long>(r.stacked_jobs),
+        r.decisions_per_sec, r.p50_ms, r.p99_ms,
         static_cast<unsigned long long>(r.pipeline_passes),
         static_cast<unsigned long long>(r.pipeline_jobs),
         static_cast<unsigned long long>(r.pipeline_states),

@@ -27,10 +27,8 @@ int main() {
   serve::ServiceConfig service_cfg;
   service_cfg.gon.hidden_width = 48;
   service_cfg.num_workers = 4;
-  // The default step-driven pipeline stacks concurrent sessions' repair
-  // frontiers into shared kernel passes with ZERO linger: no wall-clock
-  // window to tune, no latency trade.
-  service_cfg.pipeline = true;
+  // Concurrent sessions' repair frontiers stack into shared kernel passes
+  // with zero linger (see src/serve/README.md).
   serve::ResilienceService service(service_cfg);
 
   harness::RunConfig trace_cfg;

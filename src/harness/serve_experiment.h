@@ -47,11 +47,10 @@ struct ServiceRunReport {
   // Per-session QoS/latency breakdown, input order (consumed by
   // scenario::Scorecard; previously only fleet aggregates existed).
   std::vector<SessionQos> sessions;
-  // Pipeline-mode cross-session stacking over this run: frontier jobs
-  // per GON kernel pass. 1.0 = every pass carried one session's
-  // frontier; >1 = sessions shared passes (see src/serve/README.md for
-  // the metric's definition). 0 when the pipeline never scored (legacy
-  // mode or no repairs).
+  // Cross-session stacking over this run: frontier jobs per GON kernel
+  // pass. 1.0 = every pass carried one session's frontier; >1 = sessions
+  // shared passes (see src/serve/README.md for the metric's definition).
+  // 0 when no frontier was scored (no repairs, or none needed a search).
   double stacking_ratio = 0.0;
   std::uint64_t pipeline_passes = 0;
   std::uint64_t pipeline_jobs = 0;

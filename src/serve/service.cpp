@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/binio.h"
-#include "core/bucket.h"
 #include "core/subgraph.h"
 #include "nn/serialize.h"
 
@@ -203,150 +202,6 @@ struct ResilienceService::RepairPipeline {
   }
 };
 
-// LEGACY cross-session bucketing queue (pipeline == false): candidate-
-// scoring jobs from concurrently repairing sessions are claimed in
-// batches after a linger window, grouped by host count, and each H
-// bucket runs as ONE stacked GenerateBatch pass. Batched GON passes
-// equal sequential ones exactly, so results are independent of batch
-// composition — stacking is purely a kernel-efficiency play.
-class ResilienceService::ScoreBatcher {
- public:
-  ScoreBatcher(std::size_t max_jobs, int linger_us)
-      : max_jobs_(max_jobs), linger_us_(linger_us) {}
-
-  // Submits one job (a session's frontier, already encoded), optionally
-  // lingers to let concurrent submitters pile on, then claims its own
-  // job plus every pending job tagged with the SAME weight epoch — a
-  // claimer may only execute jobs on its replica when the submitter saw
-  // identical weights, otherwise stacking could serve stale parameters
-  // and break the bit-identity guarantee. A job claimed by another
-  // thread is simply awaited; epoch-mismatched jobs stay queued for
-  // their own submitters, so nothing is orphaned.
-  std::vector<double> Execute(std::vector<core::EncodedState> contexts,
-                              double alpha, double beta,
-                              std::uint64_t epoch,
-                              core::GonModel& replica) {
-    auto job = std::make_shared<ScoreJob>();
-    job->host_count = contexts.front().m.rows();
-    job->contexts = std::move(contexts);
-    job->alpha = alpha;
-    job->beta = beta;
-    job->epoch = epoch;
-    auto future = job->promise.get_future();
-    std::vector<std::shared_ptr<ScoreJob>> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_.push_back(job);
-      cv_.notify_all();
-      if (linger_us_ > 0 && queue_.size() < max_jobs_) {
-        cv_.wait_for(lock, std::chrono::microseconds(linger_us_), [&] {
-          return job->claimed || queue_.size() >= max_jobs_;
-        });
-      }
-      if (!job->claimed) {
-        // Claim our own job FIRST — filling the batch from the queue
-        // front could otherwise hit max_jobs_ before reaching it,
-        // leaving it orphaned (and this thread blocked forever below).
-        job->claimed = true;
-        for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-          if (*it == job) {
-            queue_.erase(it);
-            break;
-          }
-        }
-        batch.push_back(job);
-        for (auto it = queue_.begin();
-             it != queue_.end() && batch.size() < max_jobs_;) {
-          if ((*it)->epoch == epoch) {
-            (*it)->claimed = true;
-            batch.push_back(*it);
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    if (!batch.empty()) {
-      cv_.notify_all();  // wake lingerers whose jobs we just claimed
-      RunBatch(batch, replica);
-    }
-    return future.get();
-  }
-
-  std::uint64_t score_batches() const { return score_batches_.load(); }
-  std::uint64_t stacked_jobs() const { return stacked_jobs_.load(); }
-
- private:
-  struct ScoreJob {
-    std::vector<core::EncodedState> contexts;
-    double alpha = 0.5;
-    double beta = 0.5;
-    std::size_t host_count = 0;
-    std::uint64_t epoch = 0;  // submitter's replica weight epoch
-    bool claimed = false;     // guarded by mu_
-    std::promise<std::vector<double>> promise;
-  };
-
-  void RunBatch(std::vector<std::shared_ptr<ScoreJob>>& batch,
-                core::GonModel& replica) {
-    const auto buckets = core::GroupIndicesBy(
-        batch.size(),
-        [&](std::size_t i) { return batch[i]->host_count; });
-    std::vector<const nn::Matrix*> inits;
-    std::vector<const core::EncodedState*> ctxs;
-    for (const auto& bucket : buckets) {
-      inits.clear();
-      ctxs.clear();
-      for (std::size_t j : bucket) {
-        for (const core::EncodedState& ctx : batch[j]->contexts) {
-          inits.push_back(&ctx.m);
-          ctxs.push_back(&ctx);
-        }
-      }
-      // Promises are only touched after ALL per-job results exist, and
-      // the catch covers exactly the not-yet-satisfied tail — calling
-      // set_exception on an already-satisfied promise would itself throw
-      // and orphan the remaining jobs' waiters forever.
-      std::size_t done = 0;
-      try {
-        const std::vector<core::GenerationResult> gens =
-            replica.GenerateBatch(inits, ctxs);
-        std::vector<std::vector<double>> all_scores(bucket.size());
-        std::size_t pos = 0;
-        for (std::size_t b = 0; b < bucket.size(); ++b) {
-          const ScoreJob& j = *batch[bucket[b]];
-          all_scores[b].reserve(j.contexts.size());
-          for (std::size_t c = 0; c < j.contexts.size(); ++c) {
-            all_scores[b].push_back(core::QosObjective(
-                gens[pos++].metrics, j.alpha, j.beta));
-          }
-        }
-        for (; done < bucket.size(); ++done) {
-          batch[bucket[done]]->promise.set_value(
-              std::move(all_scores[done]));
-        }
-      } catch (...) {
-        for (std::size_t b = done; b < bucket.size(); ++b) {
-          batch[bucket[b]]->promise.set_exception(std::current_exception());
-        }
-      }
-      score_batches_.fetch_add(1, std::memory_order_relaxed);
-      if (bucket.size() > 1) {
-        stacked_jobs_.fetch_add(bucket.size(), std::memory_order_relaxed);
-      }
-    }
-  }
-
-  std::size_t max_jobs_;
-  int linger_us_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::shared_ptr<ScoreJob>> queue_;
-  std::atomic<std::uint64_t> score_batches_{0};
-  std::atomic<std::uint64_t> stacked_jobs_{0};
-};
-
 // --- service ------------------------------------------------------------
 
 ResilienceService::ResilienceService(const ServiceConfig& config)
@@ -364,9 +219,6 @@ ResilienceService::ResilienceService(const ServiceConfig& config)
   core::GonConfig master_cfg = config_.gon;
   master_cfg.attention_threads = 1;
   master_ = std::make_unique<core::GonModel>(master_cfg);
-  batcher_ = std::make_unique<ScoreBatcher>(
-      std::max<std::size_t>(1, config_.max_batch_jobs),
-      config_.batch_linger_us);
   if (config_.observability) {
     // Shard 0 belongs to client/master threads, worker i to shard i+1.
     // Built (and fully registered) before any worker thread starts.
@@ -708,77 +560,27 @@ RepairResponse ResilienceService::Repair(
   // The caller blocks on the future, so the request pieces and the
   // promise stay alive for every step of the pipeline — borrowing them
   // avoids copying the topology/snapshot.
-  if (config_.pipeline && config_.cross_session_batching) {
-    auto pipe = std::make_shared<RepairPipeline>();
-    pipe->session = session;
-    pipe->current = &current;
-    pipe->failed = &failed_brokers;
-    pipe->snapshot = &snapshot;
-    pipe->promise = &promise;
-    pipe->deadline = deadline;
-    pipe->scope = std::move(effective_scope);
-    if (obs_) {
-      pipe->submit = Clock::now();
-      pipe->trace.session = id;
-      pipe->trace.scoped = pipe->scope.has_value();
-    }
-    Enqueue(
-        session, [this, pipe](Worker&) { StartRepairPipeline(pipe); },
-        /*is_repair=*/true, deadline, [pipe](std::exception_ptr e) {
-          try {
-            pipe->promise->set_exception(std::move(e));
-          } catch (...) {
-          }
-        });
-  } else {
-    {
-      // A parked repair embeds step-boundary state only the pipeline
-      // scheduler can resume.
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (session->parked) {
-        throw std::logic_error(
-            "ResilienceService: session holds a parked repair; resuming "
-            "requires the pipeline scheduler (ServiceConfig::pipeline)");
-      }
-    }
-    Enqueue(
-        session,
-        [this, session, &current, &failed_brokers, &snapshot, &promise,
-         deadline, eff = std::move(effective_scope),
-         submit = obs_ ? Clock::now() : Clock::time_point{}](Worker& worker) {
-          if (obs_) {
-            obs_->registry.Record(obs_->h_repair_queue_ns, worker.obs_shard,
-                                  static_cast<std::uint64_t>(NsSince(submit)));
-          }
-          RepairResponse response;
-          std::exception_ptr error;
-          try {
-            if (Expired(deadline)) {
-              timeouts_.fetch_add(1, std::memory_order_relaxed);
-              throw ServiceTimeoutError();
-            }
-            response = DoRepair(*session, current, failed_brokers, snapshot,
-                                eff ? &*eff : nullptr, worker);
-          } catch (...) {
-            error = std::current_exception();
-          }
-          // Free the admission slot BEFORE waking the caller: a woken
-          // client may submit its next request immediately, and exact
-          // accounting requires it to see this slot already released.
-          FinishRequest(*session);
-          if (error) {
-            promise.set_exception(std::move(error));
-          } else {
-            promise.set_value(std::move(response));
-          }
-        },
-        /*is_repair=*/true, deadline, [&promise](std::exception_ptr e) {
-          try {
-            promise.set_exception(std::move(e));
-          } catch (...) {
-          }
-        });
+  auto pipe = std::make_shared<RepairPipeline>();
+  pipe->session = session;
+  pipe->current = &current;
+  pipe->failed = &failed_brokers;
+  pipe->snapshot = &snapshot;
+  pipe->promise = &promise;
+  pipe->deadline = deadline;
+  pipe->scope = std::move(effective_scope);
+  if (obs_) {
+    pipe->submit = Clock::now();
+    pipe->trace.session = id;
+    pipe->trace.scoped = pipe->scope.has_value();
   }
+  Enqueue(
+      session, [this, pipe](Worker&) { StartRepairPipeline(pipe); },
+      /*is_repair=*/true, deadline, [pipe](std::exception_ptr e) {
+        try {
+          pipe->promise->set_exception(std::move(e));
+        } catch (...) {
+        }
+      });
   return future.get();
 }
 
@@ -794,8 +596,6 @@ ObserveResponse ResilienceService::Observe(SessionId id,
   const Clock::time_point deadline = DeadlineFor(deadline_us);
   std::promise<ObserveResponse> promise;
   auto future = promise.get_future();
-  // Observations are a single step in either mode (no frontier to
-  // stack): confidence, POT update, Gamma bookkeeping, maybe fine-tune.
   Enqueue(
       session,
       [this, session, &snapshot, &promise, deadline,
@@ -1227,66 +1027,12 @@ void ResilienceService::FlushPendingScores(
   queue_cv_.notify_all();
 }
 
-// --- legacy run-to-completion path --------------------------------------
-
-RepairResponse ResilienceService::DoRepair(
-    Session& session, const sim::Topology& current,
-    const std::vector<sim::NodeId>& failed_brokers,
-    const sim::SystemSnapshot& snapshot, const RepairScope* scope,
-    Worker& worker) {
-  // Exclusive session access: the scheduler never serves two requests of
-  // one session concurrently (Session::active).
-  SyncReplica(worker);
-  const auto start = Clock::now();
-  RepairResponse response;
-  bool proactive_acted = false;
-  core::EncodedState encoded;
-  if (scope != nullptr) {
-    // Scoped mode: run the sub-space job to completion on this worker,
-    // scoring every frontier (and the final confidence) against the
-    // H_sub sub snapshot. The linger batcher stacks these like any
-    // other frontier — mixed H bucketing happens inside it.
-    core::ScopedRepairJob job(current, failed_brokers, snapshot,
-                              scope->hints, scope->options, session.cfg,
-                              &session.rng);
-    proactive_acted = job.proactive_acted();
-    while (!job.done()) {
-      job.Advance(ScoreFrontier(session, job.ProposeFrontier(),
-                                job.scoring_snapshot(), worker));
-    }
-    response.topology = job.result();
-    encoded = job.subgraph().empty()
-                  ? session.encoder.EncodeForTopology(snapshot,
-                                                      response.topology)
-                  : session.encoder.EncodeForTopology(
-                        job.scoring_snapshot(), job.sub_result());
-  } else {
-    const core::TopologyBatchScoreFn score =
-        [&](const std::vector<sim::Topology>& frontier) {
-          return ScoreFrontier(session, frontier, snapshot, worker);
-        };
-    response.topology =
-        core::PlanDecision(current, failed_brokers, snapshot, session.cfg,
-                           session.rng, score, &proactive_acted);
-    encoded = session.encoder.EncodeForTopology(snapshot, response.topology);
-  }
-  if (proactive_acted) {
-    proactives_.fetch_add(1, std::memory_order_relaxed);
-  }
-  response.confidence = worker.replica->Discriminate(encoded);
-  response.decision_ns = NsSince(start);
-  repairs_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_) {
-    obs_->registry.Record(
-        obs_->h_repair_decision_ns, worker.obs_shard,
-        static_cast<std::uint64_t>(response.decision_ns));
-  }
-  return response;
-}
+// --- observations ------------------------------------------------------
 
 ObserveResponse ResilienceService::DoObserve(
     Session& session, const sim::SystemSnapshot& snapshot, Worker& worker) {
-  // Exclusive session access: see DoRepair.
+  // Exclusive session access: the scheduler never serves two requests of
+  // one session concurrently (Session::active).
   SyncReplica(worker);
   const auto start = Clock::now();
   const core::ConfidenceGate::Outcome outcome =
@@ -1316,25 +1062,6 @@ ObserveResponse ResilienceService::DoObserve(
                           static_cast<std::uint64_t>(response.observe_ns));
   }
   return response;
-}
-
-std::vector<double> ResilienceService::ScoreFrontier(
-    Session& session, const std::vector<sim::Topology>& frontier,
-    const sim::SystemSnapshot& snapshot, Worker& worker) {
-  if (frontier.empty()) return {};
-  std::vector<core::EncodedState> contexts =
-      core::EncodeFrontier(session.encoder, snapshot, frontier);
-  if (!config_.cross_session_batching || config_.batch_linger_us <= 0 ||
-      workers_.size() <= 1) {
-    // A zero-length linger window can never observe a peer's job — and
-    // neither can a sole worker, which would otherwise sleep out the
-    // full window on every frontier — so skip the batcher's
-    // queue/promise machinery entirely.
-    return core::ScoreEncoded(*worker.replica, contexts, session.cfg.alpha,
-                              session.cfg.beta);
-  }
-  return batcher_->Execute(std::move(contexts), session.cfg.alpha,
-                           session.cfg.beta, worker.epoch, *worker.replica);
 }
 
 // --- surrogate management / introspection -------------------------------
@@ -1476,7 +1203,12 @@ core::CarolConfig ReadCarolConfig(common::BinaryReader& r,
   c.node_shift.include_demotions = r.Bool();
   c.alpha = r.F64();
   c.beta = r.F64();
-  c.policy = static_cast<core::FineTunePolicy>(r.I32());
+  const std::int32_t policy = r.I32();
+  if (policy < static_cast<std::int32_t>(core::FineTunePolicy::kConfidence) ||
+      policy > static_cast<std::int32_t>(core::FineTunePolicy::kNever)) {
+    throw common::BinaryFormatError("fine-tune policy out of range");
+  }
+  c.policy = static_cast<core::FineTunePolicy>(policy);
   c.finetune_epochs = r.I32();
   c.gamma_capacity = static_cast<std::size_t>(r.U64());
   c.seed = static_cast<unsigned>(r.U64());
@@ -1696,8 +1428,6 @@ ServiceStats ResilienceService::stats() const {
   s.observes = observes_.load();
   s.finetunes = finetunes_.load();
   s.proactive_optimizations = proactives_.load();
-  s.score_batches = batcher_->score_batches();
-  s.stacked_jobs = batcher_->stacked_jobs();
   s.pipeline_passes = pipeline_passes_.load();
   s.pipeline_jobs = pipeline_jobs_.load();
   s.pipeline_states = pipeline_states_.load();
@@ -1727,8 +1457,6 @@ obs::MetricsSnapshot ResilienceService::MetricsSnapshot() const {
   add("observes", s.observes);
   add("finetunes", s.finetunes);
   add("proactive_optimizations", s.proactive_optimizations);
-  add("score_batches", s.score_batches);
-  add("stacked_jobs", s.stacked_jobs);
   add("pipeline_passes", s.pipeline_passes);
   add("pipeline_jobs", s.pipeline_jobs);
   add("pipeline_states", s.pipeline_states);

@@ -24,9 +24,6 @@
 //     concurrently-repairing sessions therefore share kernel passes with
 //     ZERO linger: nothing ever waits on a wall clock, a session's next
 //     step is scheduled the moment its scores return.
-//   * The legacy run-to-completion path (ServiceConfig::pipeline =
-//     false) serves each request on one worker; there, the linger-based
-//     cross-session ScoreBatcher is the only way to stack.
 //
 // Determinism: repair planning runs the same core::RepairJob /
 // ScoreTopologiesWith code as CarolModel with per-session rng streams,
@@ -133,33 +130,6 @@ struct ServiceConfig {
   core::GonConfig gon;
   // Worker shards. Each owns a GonModel replica and serves any session.
   int num_workers = 4;
-  // Step-driven repair pipeline (the default): repairs run as resumable
-  // core::RepairJobs over an event-driven scheduler, and concurrent
-  // sessions' frontiers stack into shared kernel passes with zero
-  // linger. When false, the legacy run-to-completion path serves each
-  // request on one worker and `batch_linger_us` governs stacking.
-  // Requires cross_session_batching: stacking is the pipeline's whole
-  // point, so with batching disabled requests run to completion on one
-  // worker (legacy execution) regardless of this flag.
-  bool pipeline = true;
-  // Stack candidate-scoring jobs from concurrently repairing sessions
-  // into shared kernel passes (bucketed by host count). Disabling this
-  // also disables the pipeline scheduler (see `pipeline` above): every
-  // frontier then scores directly on its request's own worker and the
-  // pipeline_* stats stay zero.
-  bool cross_session_batching = true;
-  // LEGACY (pipeline == false): cap on jobs combined into one batched
-  // scoring pass by the linger batcher. The pipeline scheduler flushes
-  // everything pending instead.
-  std::size_t max_batch_jobs = 8;
-  // LEGACY fallback (pipeline == false only): how long a scoring job
-  // lingers in the batcher queue waiting for passengers from other
-  // sessions before its submitter claims it. 0 (the default) is
-  // latency-first and bypasses the batcher entirely, so the legacy path
-  // then never stacks. The pipeline path ignores this knob — stacking
-  // comes from scheduling, not from waiting — and is the supported way
-  // to get cross-session batching without a latency trade.
-  int batch_linger_us = 0;
   // Per-replica attention threading for large federations (H >= 64):
   // every worker's GON replica fans the per-state GAT attention of its
   // batched scoring passes across this many threads. Overrides
@@ -193,8 +163,8 @@ struct ServiceConfig {
   // the service's own accounting, always on) but histograms/traces stay
   // empty and the hot path takes zero extra clock reads.
   bool observability = true;
-  // Bounded capacity of the DecisionTrace ring (completed pipelined
-  // repairs; oldest retired first).
+  // Bounded capacity of the DecisionTrace ring (completed repairs;
+  // oldest retired first).
   std::size_t trace_capacity = 256;
 };
 
@@ -259,10 +229,6 @@ struct ServiceStats {
   std::uint64_t finetunes = 0;
   // Proactive (no-failure) re-optimizations across all sessions.
   std::uint64_t proactive_optimizations = 0;
-  // LEGACY linger batcher: batched scoring passes run, and how many jobs
-  // shared a pass with at least one other job.
-  std::uint64_t score_batches = 0;
-  std::uint64_t stacked_jobs = 0;
   // Pipeline scheduler: GON generation kernel passes flushed from the
   // pending-score pool, the frontier jobs they carried, and the total
   // candidate states scored. The cross-session *stacking ratio* is
@@ -346,8 +312,7 @@ class ResilienceService {
   // job's complete search state (tabu lists, pending frontier, phase,
   // rng position) is captured inside the session and the blocked caller
   // gets ServiceSuspendedError. Re-issuing the same request after a
-  // restore resumes the search bit-identically. Legacy-mode
-  // (pipeline=false) requests cannot park and run to completion.
+  // restore resumes the search bit-identically.
   void BeginDrain();
   // Blocks until nothing is queued, ready, awaiting scores or in flight
   // — the quiescent state SaveSnapshot requires. Call after BeginDrain
@@ -389,7 +354,7 @@ class ResilienceService {
   // flows.
   obs::MetricsSnapshot MetricsSnapshot() const;
   // The retained window of completed repair-path span traces, oldest
-  // first (empty in legacy mode or with observability off).
+  // first (empty with observability off).
   std::vector<obs::DecisionTrace> DecisionTraces() const;
   // Master + replicas + per-session Gamma budgets, in MB.
   double MemoryFootprintMb() const;
@@ -403,7 +368,6 @@ class ResilienceService {
  private:
   struct Session;
   struct Worker;
-  class ScoreBatcher;
   struct RepairPipeline;
   struct ParkedRepair;
   struct Obs;
@@ -478,18 +442,11 @@ class ResilienceService {
   static void WriteSession(common::BinaryWriter& w, const Session& session);
   std::shared_ptr<Session> ReadSession(common::BinaryReader& r);
 
-  // --- legacy run-to-completion path -----------------------------------
-  RepairResponse DoRepair(Session& session, const sim::Topology& current,
-                          const std::vector<sim::NodeId>& failed_brokers,
-                          const sim::SystemSnapshot& snapshot,
-                          const RepairScope* scope, Worker& worker);
+  // An observation is a single step (no frontier to stack): confidence,
+  // POT update, Gamma bookkeeping, maybe a fine-tune of the master.
   ObserveResponse DoObserve(Session& session,
                             const sim::SystemSnapshot& snapshot,
                             Worker& worker);
-  std::vector<double> ScoreFrontier(Session& session,
-                                    const std::vector<sim::Topology>& frontier,
-                                    const sim::SystemSnapshot& snapshot,
-                                    Worker& worker);
 
   ServiceConfig config_;
 
@@ -519,8 +476,6 @@ class ResilienceService {
   mutable std::mutex sessions_mu_;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;
   std::atomic<SessionId> next_session_id_{1};
-
-  std::unique_ptr<ScoreBatcher> batcher_;  // legacy path only
 
   // Timing instrumentation (ServiceConfig::observability): the sharded
   // histogram registry + trace ring. Null when observability is off —
@@ -570,11 +525,6 @@ class SessionModel : public core::ResilienceModel {
   // directly (exact percentiles until the ring overflows, histogram
   // percentiles after).
   const obs::LatencyRing& decision_latency() const { return decision_ns_; }
-  // Compat shim for the old unbounded accessor: the RETAINED window,
-  // oldest first (now a copy, capped at the ring capacity).
-  std::vector<std::int64_t> decision_ns_history() const {
-    return decision_ns_.Samples();
-  }
   int finetune_count() const { return finetunes_; }
 
  private:

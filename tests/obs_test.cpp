@@ -343,7 +343,6 @@ serve::ServiceConfig TinyServiceConfig(int workers) {
   serve::ServiceConfig cfg;
   cfg.gon = TinyCarolConfig().gon;
   cfg.num_workers = workers;
-  cfg.pipeline = true;
   return cfg;
 }
 
@@ -426,8 +425,6 @@ TEST(ServiceObsTest, SnapshotReconcilesExactlyWithStatsUnderStorm) {
   EXPECT_EQ(snap.counter("finetunes"), stats.finetunes);
   EXPECT_EQ(snap.counter("proactive_optimizations"),
             stats.proactive_optimizations);
-  EXPECT_EQ(snap.counter("score_batches"), stats.score_batches);
-  EXPECT_EQ(snap.counter("stacked_jobs"), stats.stacked_jobs);
   EXPECT_EQ(snap.counter("pipeline_passes"), stats.pipeline_passes);
   EXPECT_EQ(snap.counter("pipeline_jobs"), stats.pipeline_jobs);
   EXPECT_EQ(snap.counter("pipeline_states"), stats.pipeline_states);

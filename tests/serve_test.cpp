@@ -38,18 +38,6 @@ ServiceConfig TinyServiceConfig(int workers) {
   ServiceConfig cfg;
   cfg.gon = TinyCarolConfig().gon;
   cfg.num_workers = workers;
-  // The default step-driven pipeline: zero linger, stacking by
-  // scheduling.
-  cfg.pipeline = true;
-  return cfg;
-}
-
-ServiceConfig TinyLegacyConfig(int workers, int linger_us) {
-  ServiceConfig cfg = TinyServiceConfig(workers);
-  // The legacy run-to-completion path, where the linger window is the
-  // only way to stack.
-  cfg.pipeline = false;
-  cfg.batch_linger_us = linger_us;
   return cfg;
 }
 
@@ -229,21 +217,30 @@ TEST(ServeTest, ParallelHeterogeneousSessionsMatchSequentialRuns) {
   // worker count. Different depths mean the sessions' pipelines need
   // different step counts, so their steps interleave adversarially on
   // the scheduler. kNever keeps the shared surrogate frozen, so sessions
-  // are fully independent.
+  // are fully independent. The last fleet plans scoped repairs on an
+  // 8-host extraction of its 16 hosts, pinning the service's scoped path
+  // against CarolModel's.
   struct Fleet {
     int hosts;
     int brokers;
     unsigned seed;
     int max_iterations;
+    int scoped_max_hosts;  // 0 = unscoped
   };
-  const std::vector<Fleet> fleets = {
-      {8, 2, 11, 2}, {12, 3, 22, 5}, {16, 4, 33, 3}};
+  const std::vector<Fleet> fleets = {{8, 2, 11, 2, 0},
+                                     {12, 3, 22, 5, 0},
+                                     {16, 4, 33, 3, 0},
+                                     {16, 4, 44, 3, 8}};
   const int rounds = 5;
 
   auto fleet_config = [&](const Fleet& f) {
     core::CarolConfig cfg = TinyCarolConfig(f.seed);
     cfg.policy = core::FineTunePolicy::kNever;
     cfg.tabu.max_iterations = f.max_iterations;
+    if (f.scoped_max_hosts > 0) {
+      cfg.scoped.enabled = true;
+      cfg.scoped.max_hosts = f.scoped_max_hosts;
+    }
     return cfg;
   };
   std::vector<Episode> expected;
@@ -282,13 +279,12 @@ TEST(ServeTest, ParallelHeterogeneousSessionsMatchSequentialRuns) {
 }
 
 TEST(ServeTest, PipelineStacksConcurrentSessionsWithZeroLinger) {
-  // The tentpole property: with batch_linger_us = 0 (nobody ever waits
-  // on a wall clock), concurrently repairing sessions must still share
-  // GON kernel passes, because a worker only flushes the pending-score
-  // pool when no compute step is runnable. One worker, five eager
-  // sessions: the pool piles up while the worker steps other pipelines.
+  // The pipeline's core property: nobody ever waits on a wall clock, yet
+  // concurrently repairing sessions still share GON kernel passes,
+  // because a worker only flushes the pending-score pool when no compute
+  // step is runnable. One worker, five eager sessions: the pool piles up
+  // while the worker steps other pipelines.
   ResilienceService service(TinyServiceConfig(1));
-  ASSERT_EQ(service.config().batch_linger_us, 0);
 
   const int sessions = 5, rounds = 8;
   std::vector<SessionId> ids;
@@ -331,40 +327,6 @@ TEST(ServeTest, PipelineStacksConcurrentSessionsWithZeroLinger) {
   EXPECT_EQ(stats.confidence_jobs, stats.repairs);
   ASSERT_GT(stats.confidence_passes, 0u);
   EXPECT_GT(stats.confidence_jobs, stats.confidence_passes);
-}
-
-TEST(ServeTest, LegacyLingerWindowStacksConcurrentSessionsIntoSharedPasses) {
-  // The legacy run-to-completion path (pipeline = false): with a
-  // generous linger window, two sessions repairing at the same time must
-  // share scoring passes — and still produce exactly the sequential
-  // single-model decisions (batch composition never changes results).
-  // 50 ms linger: plenty for the peer to arrive.
-  ResilienceService service(TinyLegacyConfig(2, 50000));
-  std::vector<SessionId> ids;
-  std::vector<Episode> expected;
-  for (unsigned seed : {51u, 52u}) {
-    core::CarolConfig carol = TinyCarolConfig(seed);
-    carol.policy = core::FineTunePolicy::kNever;
-    FederationSpec spec;
-    spec.carol = carol;
-    ids.push_back(service.OpenSession(spec));
-    core::CarolModel reference(carol);
-    expected.push_back(DriveCarol(reference, 12, 3, 4));
-  }
-
-  std::vector<Episode> actual(2);
-  std::vector<std::thread> drivers;
-  for (std::size_t i = 0; i < 2; ++i) {
-    drivers.emplace_back(
-        [&, i] { actual[i] = DriveSession(service, ids[i], 12, 3, 4); });
-  }
-  for (auto& d : drivers) d.join();
-
-  ExpectEpisodesIdentical(expected[0], actual[0]);
-  ExpectEpisodesIdentical(expected[1], actual[1]);
-  // The linger window must have produced at least one genuinely shared
-  // (cross-session) kernel pass.
-  EXPECT_GT(service.stats().stacked_jobs, 0u);
 }
 
 // --- replica weight sync -------------------------------------------------

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/binio.h"
@@ -47,7 +48,6 @@ ServiceConfig TinyServiceConfig(int workers = 1) {
   ServiceConfig cfg;
   cfg.gon = TinyCarolConfig().gon;
   cfg.num_workers = workers;
-  cfg.pipeline = true;
   return cfg;
 }
 
@@ -384,7 +384,9 @@ TEST(ServiceSnapshotTest, ParkedMidRepairResumesBitIdentically) {
   // typed suspension error, the park state rides the snapshot, and
   // re-issuing the SAME request on the restored service must produce the
   // bit-exact decision of a never-interrupted run (same rng draws, same
-  // candidate order, same confidence).
+  // candidate order, same confidence). Run once unscoped and once with
+  // an explicit scope, whose parked sub-space job and scope identity
+  // ride the v2 session section.
   ServiceConfig cfg = TinyServiceConfig(1);
   FederationSpec spec;
   spec.carol = TinyCarolConfig();
@@ -392,53 +394,65 @@ TEST(ServiceSnapshotTest, ParkedMidRepairResumesBitIdentically) {
   spec.carol.tabu.max_iterations = 30;
   spec.carol.tabu.max_evaluations = 2000;
 
-  RepairRequest req;
+  RepairRequest plain;
   const sim::SystemSnapshot snap = MakeFailureSnapshot(0.5, 64, 16);
-  req.current = snap.topology;
-  req.failed_brokers = {0};
-  req.snapshot = snap;
+  plain.current = snap.topology;
+  plain.failed_brokers = {0};
+  plain.snapshot = snap;
+  RepairRequest plain_wrong = plain;
+  plain_wrong.failed_brokers = {1};
 
-  RepairResponse want;
-  {
-    ResilienceService reference(cfg);
-    const SessionId id = reference.OpenSession(spec);
-    want = reference.Repair(id, req);
-  }
+  RepairRequest scoped = plain;
+  scoped.scope.emplace();
+  scoped.scope->options.max_hosts = 32;
+  scoped.scope->hints = {40, 21, 57};
+  RepairRequest scoped_wrong = scoped;
+  scoped_wrong.scope->hints = {40, 21, 9};
 
-  ResilienceService first(cfg);
-  const SessionId id = first.OpenSession(spec);
-  std::atomic<bool> suspended{false};
-  std::thread client([&] {
-    try {
-      first.Repair(id, req);
-    } catch (const ServiceSuspendedError&) {
-      suspended.store(true);
+  const std::pair<const RepairRequest*, const RepairRequest*> cases[] = {
+      {&plain, &plain_wrong}, {&scoped, &scoped_wrong}};
+  for (const auto& [req, wrong] : cases) {
+    SCOPED_TRACE(req->scope ? "scoped" : "unscoped");
+    RepairResponse want;
+    {
+      ResilienceService reference(cfg);
+      const SessionId id = reference.OpenSession(spec);
+      want = reference.Repair(id, *req);
     }
-  });
-  // Pull the plug only once the search is demonstrably mid-flight.
-  while (first.stats().pipeline_passes < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    ResilienceService first(cfg);
+    const SessionId id = first.OpenSession(spec);
+    std::atomic<bool> suspended{false};
+    std::thread client([&] {
+      try {
+        first.Repair(id, *req);
+      } catch (const ServiceSuspendedError&) {
+        suspended.store(true);
+      }
+    });
+    // Pull the plug only once the search is demonstrably mid-flight.
+    while (first.stats().pipeline_passes < 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    first.BeginDrain();
+    client.join();
+    EXPECT_TRUE(suspended.load());
+    first.WaitDrained();
+    EXPECT_GE(first.stats().suspended, 1u);
+
+    std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
+    first.SaveSnapshot(image);
+    first.Shutdown();
+    image.seekg(0);
+    ResilienceService second(cfg, image);
+
+    // A DIFFERENT request cannot consume the parked state...
+    EXPECT_THROW(second.Repair(id, *wrong), std::invalid_argument);
+    // ...re-issuing the suspended one resumes it to the bit-exact result.
+    const RepairResponse got = second.Repair(id, *req);
+    EXPECT_TRUE(got.topology == want.topology);
+    EXPECT_EQ(got.confidence, want.confidence);
   }
-  first.BeginDrain();
-  client.join();
-  EXPECT_TRUE(suspended.load());
-  first.WaitDrained();
-  EXPECT_GE(first.stats().suspended, 1u);
-
-  std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
-  first.SaveSnapshot(image);
-  first.Shutdown();
-  image.seekg(0);
-  ResilienceService second(cfg, image);
-
-  // A DIFFERENT request cannot consume the parked state...
-  RepairRequest wrong = req;
-  wrong.failed_brokers = {1};
-  EXPECT_THROW(second.Repair(id, wrong), std::invalid_argument);
-  // ...re-issuing the suspended one resumes it to the bit-exact result.
-  const RepairResponse got = second.Repair(id, req);
-  EXPECT_TRUE(got.topology == want.topology);
-  EXPECT_EQ(got.confidence, want.confidence);
 }
 
 TEST(ServiceSnapshotTest, SnapshotRequiresQuiescence) {
@@ -476,16 +490,20 @@ TEST(ServiceSnapshotTest, SnapshotRequiresQuiescence) {
 
 TEST(ServiceSnapshotTest, RestoreRejectsCorruptImage) {
   const ServiceConfig cfg = TinyServiceConfig(1);
-  ResilienceService service(cfg);
-  FederationSpec spec;
-  spec.carol = TinyCarolConfig();
-  const SessionId id = service.OpenSession(spec);
-  (void)id;
-  service.BeginDrain();
-  service.WaitDrained();
-  std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
-  service.SaveSnapshot(image);
-  const std::string bytes = image.str();
+  auto one_session_image = [&](core::FineTunePolicy policy) {
+    ResilienceService service(cfg);
+    FederationSpec spec;
+    spec.carol = TinyCarolConfig();
+    spec.carol.policy = policy;
+    service.OpenSession(spec);
+    service.BeginDrain();
+    service.WaitDrained();
+    std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
+    service.SaveSnapshot(image);
+    return image.str();
+  };
+  const std::string bytes =
+      one_session_image(core::FineTunePolicy::kConfidence);
 
   std::stringstream truncated(bytes.substr(0, bytes.size() - 7),
                               std::ios::in | std::ios::binary);
@@ -495,6 +513,21 @@ TEST(ServiceSnapshotTest, RestoreRejectsCorruptImage) {
   std::stringstream garbage(std::string("not a snapshot at all"),
                             std::ios::in | std::ios::binary);
   EXPECT_THROW(ResilienceService(cfg, garbage), common::BinaryFormatError);
+
+  // A policy outside FineTunePolicy must not restore a session whose gate
+  // then silently never fine-tunes. Two images differing only in policy
+  // locate its byte.
+  const std::string never = one_session_image(core::FineTunePolicy::kNever);
+  ASSERT_EQ(never.size(), bytes.size());
+  std::vector<std::size_t> diffs;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] != never[i]) diffs.push_back(i);
+  }
+  ASSERT_EQ(diffs.size(), 1u);
+  std::string bad_policy = never;
+  bad_policy[diffs[0]] = 7;
+  std::stringstream patched(bad_policy, std::ios::in | std::ios::binary);
+  EXPECT_THROW(ResilienceService(cfg, patched), common::BinaryFormatError);
 }
 
 }  // namespace
