@@ -1,14 +1,15 @@
 // Micro-benchmarks of the latency-critical inner loops: matrix kernels,
-// GON forward pass / input-space generation (fast arena+fused+batched
-// path vs the seed-style naive path), node-shift neighborhood expansion,
-// tabu repair and POT updates.
+// GON forward pass / input-space generation, batched and threaded GON
+// scoring, node-shift neighborhood expansion, tabu repair and POT
+// updates.
 //
 // Self-timed (no external benchmark dependency) and machine-readable:
 // every measurement is appended to BENCH_micro.json as
 //   {"op", "shape", "ns_per_op", "baseline_ns_per_op", "speedup"}
-// so the perf trajectory is tracked from PR 1 onward. `baseline` is the
-// naive reference implementation measured in the same process (textbook
-// i-j-k matmul, std::function map, seed-style per-call-tape GON).
+// so the perf trajectory is tracked from PR 1 onward. `baseline` is a
+// reference measured in the same process (textbook i-j-k matmul,
+// std::function map, per-state scoring, 1-thread scoring, full rehash);
+// rows without one report 0.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -107,7 +108,7 @@ void WriteJson(const char* path) {
   std::printf("\nwrote %s (%zu entries)\n", path, rs.size());
 }
 
-// --- naive references (the seed-style kernels) ----------------------------
+// --- textbook references --------------------------------------------------
 
 nn::Matrix NaiveMatMul(const nn::Matrix& a, const nn::Matrix& b) {
   nn::Matrix out(a.rows(), b.cols(), 0.0);
@@ -136,12 +137,6 @@ sim::SystemSnapshot MakeSnapshot(int hosts = 16, int brokers = 4) {
     m.is_broker = snap.topology.is_broker(i);
   }
   return snap;
-}
-
-core::GonConfig BenchGonConfig(bool fast_path) {
-  core::GonConfig cfg;  // paper-shaped defaults (64-wide, 3 layers)
-  cfg.use_fast_path = fast_path;
-  return cfg;
 }
 
 // --- benches --------------------------------------------------------------
@@ -193,28 +188,19 @@ void BenchGon() {
   core::FeatureEncoder encoder;
   const auto enc = encoder.Encode(MakeSnapshot());
 
-  core::GonModel fast_gon(BenchGonConfig(true));
-  core::GonModel slow_gon(BenchGonConfig(false));
+  core::GonModel gon(core::GonConfig{});  // paper-shaped 64-wide, 3 layers
 
-  // Forward/confidence scoring: arena + fused + tape-free vs seed-style.
-  const double fwd_fast =
-      TimeNs([&] { g_sink += fast_gon.Discriminate(enc); });
-  const double fwd_slow =
-      TimeNs([&] { g_sink += slow_gon.Discriminate(enc); });
-  Report("gon_discriminate", "H=16", fwd_fast, fwd_slow);
+  // Forward/confidence scoring on the tape-free inference path.
+  const double fwd = TimeNs([&] { g_sink += gon.Discriminate(enc); });
+  Report("gon_discriminate", "H=16", fwd);
 
   // Input-space generation (Eq. 1 ascent = the OptimizeInput hot path).
-  const double gen_fast =
-      TimeNs([&] { g_sink += fast_gon.Generate(enc.m, enc).confidence; },
-             500.0);
-  const double gen_slow =
-      TimeNs([&] { g_sink += slow_gon.Generate(enc.m, enc).confidence; },
-             500.0);
-  Report("gon_generate_warm", "H=16 steps<=20", gen_fast, gen_slow);
+  const double gen = TimeNs(
+      [&] { g_sink += gon.Generate(enc.m, enc).confidence; }, 500.0);
+  Report("gon_generate_warm", "H=16 steps<=20", gen);
 
   // The paper's decision unit: score + optimize per interval.
-  Report("gon_decision_path", "discriminate+generate",
-         fwd_fast + gen_fast, fwd_slow + gen_slow);
+  Report("gon_decision_path", "discriminate+generate", fwd + gen);
 
   // Batched scoring of K candidate neighbors vs K sequential calls.
   constexpr int kBatch = 16;
@@ -225,19 +211,14 @@ void BenchGon() {
     states.push_back(encoder.Encode(snap));
   }
   const double batch = TimeNs([&] {
-    const auto scores = fast_gon.DiscriminateBatch(
-        std::span<const core::EncodedState>(states));
+    const auto scores =
+        gon.DiscriminateBatch(std::span<const core::EncodedState>(states));
     g_sink += scores[0];
   });
-  const double naive_seq = TimeNs([&] {
-    for (const auto& s : states) g_sink += slow_gon.Discriminate(s);
+  const double per_state = TimeNs([&] {
+    for (const auto& s : states) g_sink += gon.Discriminate(s);
   });
-  Report("gon_discriminate_batch", "K=16 H=16", batch, naive_seq);
-  // Marginal gain of batching over the already-fast sequential path.
-  const double fast_seq = TimeNs([&] {
-    for (const auto& s : states) g_sink += fast_gon.Discriminate(s);
-  });
-  Report("gon_discriminate_batch_vs_fast", "K=16 H=16", batch, fast_seq);
+  Report("gon_discriminate_batch_vs_fast", "K=16 H=16", batch, per_state);
 }
 
 // Large federations (H >= 64): the decision path is dominated by the
@@ -259,7 +240,7 @@ void BenchGonLargeH() {
     const std::string shape_base =
         "K=" + std::to_string(kBatch) + " H=" + std::to_string(hosts);
 
-    core::GonModel sequential(BenchGonConfig(true));
+    core::GonModel sequential(core::GonConfig{});
     const double seq_ns = TimeNs([&] {
       const auto scores = sequential.DiscriminateBatch(
           std::span<const core::EncodedState>(states));
@@ -272,7 +253,7 @@ void BenchGonLargeH() {
     Report("gon_discriminate_batch_vs_fast", shape_base, seq_ns, fast_seq);
 
     for (int threads : {2, 4}) {
-      core::GonConfig cfg = BenchGonConfig(true);
+      core::GonConfig cfg;
       cfg.attention_threads = threads;
       core::GonModel threaded(cfg);
       const double thr_ns = TimeNs([&] {
@@ -361,8 +342,7 @@ void BenchTopologyHash() {
 
 int main() {
   bench::PrintBanner(
-      "Micro latency — fast path vs naive kernels (ns/op; speedup = "
-      "naive/fast)");
+      "Micro latency (ns/op; speedup = same-process baseline / ns)");
   BenchMatMul();
   BenchMap();
   BenchGon();

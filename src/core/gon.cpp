@@ -30,11 +30,7 @@ struct GonModel::Network : nn::Module {
             "gon.gat"),
         head({static_cast<std::size_t>(cfg.hidden_width + cfg.gat_width),
               static_cast<std::size_t>(cfg.hidden_width), 1},
-             rng, "gon.head", nn::Activation::kSigmoid) {
-    ms_encoder.set_fused(cfg.use_fast_path);
-    gat.set_fused(cfg.use_fast_path);
-    head.set_fused(cfg.use_fast_path);
-  }
+             rng, "gon.head", nn::Activation::kSigmoid) {}
 
   static std::vector<std::size_t> MsDims(const GonConfig& cfg) {
     std::vector<std::size_t> dims = {kMsInputWidth};
@@ -108,22 +104,6 @@ bool GonModel::SameHostCount(std::span<const EncodedState* const> states) {
   return true;
 }
 
-nn::Value GonModel::Forward(nn::Tape& tape, nn::Value m,
-                            const EncodedState& ctx) {
-  Network& net = *net_impl_;
-  nn::Value s = tape.LeafRef(ctx.s);
-  nn::Value roles = tape.LeafRef(ctx.roles);
-  // E_{M,S} = ReLU(FeedForward([M, S])) per host, mean-pooled (Eq. 3).
-  nn::Value ms = tape.ConcatCols(m, s);
-  nn::Value e_ms = net.ms_encoder.Forward(tape, ms);
-  // GAT branch over utilization features + role flags (Eq. 4).
-  nn::Value u = tape.ConcatCols(tape.SliceCols(m, 0, 4), roles);
-  nn::Value e_g = net.gat.Forward(tape, u, ctx.adjacency);
-  // Sigmoid head over pooled representations (Eq. 5).
-  nn::Value pooled = tape.ConcatCols(tape.RowMean(e_ms), tape.RowMean(e_g));
-  return net.head.Forward(tape, pooled);
-}
-
 nn::Value GonModel::ForwardBatch(nn::Tape& tape, nn::Value m,
                                  std::span<const EncodedState* const> ctxs) {
   Network& net = *net_impl_;
@@ -147,8 +127,9 @@ nn::Value GonModel::ForwardBatch(nn::Tape& tape, nn::Value m,
   nn::Value s = tape.LeafRef(ws.s_stack);
   nn::Value roles = tape.LeafRef(ws.roles_stack);
 
-  // Rows are per-host, so the stacked encoder pass equals K separate
-  // passes row for row (Eq. 3 batched).
+  // E_{M,S} = ReLU(FeedForward([M, S])) per host (Eq. 3). Rows are
+  // per-host, so the stacked encoder pass equals K separate passes row
+  // for row.
   nn::Value ms = tape.ConcatCols(m, s);
   nn::Value e_ms = net.ms_encoder.Forward(tape, ms);
   // GAT branch: shared projections batched, attention per state (Eq. 4).
@@ -265,31 +246,18 @@ void GonModel::ForwardInferenceBatch(
 }
 
 double GonModel::Discriminate(const EncodedState& state) {
-  if (config_.use_fast_path) {
-    const EncodedState* p = &state;
-    const nn::Matrix* m = &state.m;
-    std::vector<double> score;
-    ForwardInferenceBatch(std::span<const nn::Matrix* const>(&m, 1),
-                          std::span<const EncodedState* const>(&p, 1),
-                          score);
-    return score.front();
-  }
-  nn::Tape tape;
-  tape.set_naive_kernels(true);  // seed-style reference execution
-  net().ClearBindings();
-  nn::Value m = tape.Leaf(state.m);
-  return Forward(tape, m, state).scalar();
+  const EncodedState* p = &state;
+  const nn::Matrix* m = &state.m;
+  std::vector<double> score;
+  ForwardInferenceBatch(std::span<const nn::Matrix* const>(&m, 1),
+                        std::span<const EncodedState* const>(&p, 1), score);
+  return score.front();
 }
 
 std::vector<double> GonModel::DiscriminateBatch(
     std::span<const EncodedState* const> states) {
   std::vector<double> out;
   if (states.empty()) return out;
-  if (!config_.use_fast_path) {
-    out.reserve(states.size());
-    for (const EncodedState* s : states) out.push_back(Discriminate(*s));
-    return out;
-  }
   if (SameHostCount(states)) {
     InferenceWorkspace& ws = *inference_;
     ws.m_ptrs.clear();
@@ -331,62 +299,12 @@ std::vector<double> GonModel::DiscriminateBatch(
 
 GenerationResult GonModel::Generate(const nn::Matrix& m_init,
                                     const EncodedState& context) {
-  if (!config_.use_fast_path) return GenerateSequential(m_init, context);
   const nn::Matrix* init = &m_init;
   const EncodedState* ctx = &context;
   auto results =
       GenerateBatch(std::span<const nn::Matrix* const>(&init, 1),
                     std::span<const EncodedState* const>(&ctx, 1));
   return std::move(results.front());
-}
-
-GenerationResult GonModel::GenerateSequential(const nn::Matrix& m_init,
-                                              const EncodedState& context) {
-  GenerationResult result;
-  nn::Matrix m_cur = m_init;
-  const double lr = config_.generation_lr;
-  double prev_objective = -std::numeric_limits<double>::infinity();
-  for (int step = 0; step < config_.generation_steps; ++step) {
-    nn::Tape tape;
-    tape.set_naive_kernels(!config_.use_fast_path);
-    net().ClearBindings();
-    nn::Value m = tape.Leaf(m_cur, /*requires_grad=*/true);
-    nn::Value score = Forward(tape, m, context);
-    nn::Value objective = tape.Log(score);
-    const double obj = objective.scalar();
-    tape.Backward(objective);
-    const nn::Matrix& grad = m.grad();
-    // Ascent step M <- M + gamma * grad_M log D (Eq. 1), clipped to the
-    // normalized feature box. The step is infinity-norm normalized so
-    // gamma directly controls the per-feature movement per iteration —
-    // without this, a flat discriminator would stall the generation in
-    // our [0,1]-normalized feature space (implementation note recorded
-    // in EXPERIMENTS.md).
-    double grad_scale = 0.0;
-    for (const double g : grad.flat()) {
-      grad_scale = std::max(grad_scale, std::abs(g));
-    }
-    if (grad_scale < 1e-12) break;
-    bool moved = false;
-    for (std::size_t r = 0; r < m_cur.rows(); ++r) {
-      for (std::size_t c = 0; c < m_cur.cols(); ++c) {
-        const double delta = lr * grad(r, c) / grad_scale;
-        if (std::abs(delta) > 1e-9) moved = true;
-        m_cur(r, c) = std::clamp(m_cur(r, c) + delta, 0.0, 1.0);
-      }
-    }
-    ++result.steps;
-    // "Till convergence": stop once log-likelihood improvement stalls.
-    if (!moved || std::abs(obj - prev_objective) < config_.generation_tol) {
-      break;
-    }
-    prev_objective = obj;
-  }
-  result.metrics = std::move(m_cur);
-  EncodedState scored = context;
-  scored.m = result.metrics;
-  result.confidence = Discriminate(scored);
-  return result;
 }
 
 std::vector<GenerationResult> GonModel::GenerateBatch(
@@ -397,12 +315,6 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
   }
   std::vector<GenerationResult> results(contexts.size());
   if (contexts.empty()) return results;
-  if (!config_.use_fast_path) {
-    for (std::size_t i = 0; i < contexts.size(); ++i) {
-      results[i] = GenerateSequential(*inits[i], *contexts[i]);
-    }
-    return results;
-  }
   if (!SameHostCount(contexts)) {
     // Mixed host counts: bucket by H and run one stacked ascent per
     // bucket. Candidate trajectories are independent, so the scatter is
@@ -437,8 +349,7 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
 
   std::vector<nn::Matrix> m_cur(kTotal);
   for (std::size_t i = 0; i < kTotal; ++i) {
-    // A misshapen init would silently corrupt the stacked buffer; the
-    // sequential path throws for the same input, so match it.
+    // A misshapen init would silently corrupt the stacked buffer.
     if (inits[i]->rows() != h || inits[i]->cols() != c) {
       throw std::invalid_argument(
           "GenerateBatch: init shape does not match the context metrics");
@@ -462,8 +373,8 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
     ~FrozenGuard() { net->SetFrozen(false); }
   } frozen_guard(&net());
   // Each global step advances every still-active candidate by exactly the
-  // update sequential Generate would have applied at that step: the
-  // stacked forward/backward is row-block independent per candidate.
+  // update a lone ascent would have applied at that step: the stacked
+  // forward/backward is row-block independent per candidate.
   for (int step = 0; step < config_.generation_steps; ++step) {
     act_idx.clear();
     for (std::size_t i = 0; i < kTotal; ++i) {
@@ -498,6 +409,11 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
       const double obj =
           std::log(std::max(scores(a, 0), nn::Tape::kLogEps));
       const double* gp = grad.flat().data() + a * block;
+      // Ascent step M <- M + gamma * grad_M log D (Eq. 1), clipped to the
+      // normalized feature box. The step is infinity-norm normalized so
+      // gamma directly controls the per-feature movement per iteration;
+      // without this, a flat discriminator would stall the generation in
+      // our [0,1]-normalized feature space (EXPERIMENTS.md).
       double grad_scale = 0.0;
       for (std::size_t j = 0; j < block; ++j) {
         grad_scale = std::max(grad_scale, std::abs(gp[j]));
@@ -514,6 +430,7 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
         mp[j] = std::clamp(mp[j] + delta, 0.0, 1.0);
       }
       ++results[i].steps;
+      // "Till convergence": stop once log-likelihood improvement stalls.
       if (!moved ||
           std::abs(obj - prev_obj[i]) < config_.generation_tol) {
         active[i] = 0;
@@ -535,8 +452,11 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
 }
 
 double GonModel::TrainBatch(const std::vector<const EncodedState*>& batch) {
-  if (!config_.use_fast_path || !SameHostCount(batch)) {
-    return TrainBatchSequential(batch);
+  // The minibatch trains as one stacked pass, which needs one H. Reject
+  // before the first rng draw so a failed call leaves the model as is.
+  if (!SameHostCount(batch)) {
+    throw std::invalid_argument(
+        "GonModel: a training minibatch mixes host counts");
   }
   // Phase 1 (Algorithm 1, line 4): generate fake samples Z* from noise by
   // input-space ascent — one batched ascent for the whole minibatch.
@@ -568,14 +488,11 @@ double GonModel::TrainBatch(const std::vector<const EncodedState*>& batch) {
     fake_ms.push_back(&gen[i].metrics);
     if (b > 1) {
       // Mismatched-context negative: metrics from a different record
-      // presented under this record's (S, G). Same draw order as the
-      // per-sample path so fixed-seed runs line up.
+      // presented under this record's (S, G).
       std::size_t other = rng_.Choice(b);
       if (other == i) other = (other + 1) % b;
-      if (batch[other]->m.rows() == batch[i]->m.rows()) {
-        mm_ms.push_back(&batch[other]->m);
-        mm_ctx.push_back(batch[i]);
-      }
+      mm_ms.push_back(&batch[other]->m);
+      mm_ctx.push_back(batch[i]);
     }
   }
 
@@ -623,50 +540,6 @@ nn::Value GonModel::StackLeaf(nn::Tape& tape,
                   static_cast<std::ptrdiff_t>(i * h * c));
   }
   return tape.LeafRef(ws.m_stack);
-}
-
-double GonModel::TrainBatchSequential(
-    const std::vector<const EncodedState*>& batch) {
-  // Seed-style per-sample training graphs (fallback / A-B reference).
-  std::vector<nn::Matrix> fakes;
-  fakes.reserve(batch.size());
-  for (const EncodedState* state : batch) {
-    nn::Matrix noise(state->m.rows(), state->m.cols());
-    for (double& v : noise.flat()) v = rng_.Uniform(0.0, 1.0);
-    fakes.push_back(Generate(noise, *state).metrics);
-  }
-
-  nn::Tape tape;
-  tape.set_naive_kernels(!config_.use_fast_path);
-  net().ClearBindings();
-  nn::Value total;
-  nn::Value one = tape.Leaf(nn::Matrix::Ones(1, 1));
-  int terms = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const EncodedState& state = *batch[i];
-    nn::Value d_real = Forward(tape, tape.LeafRef(state.m), state);
-    nn::Value d_fake = Forward(tape, tape.LeafRef(fakes[i]), state);
-    nn::Value sample_loss = nn::GanDiscriminatorLoss(tape, d_real, d_fake);
-    if (batch.size() > 1) {
-      std::size_t other = rng_.Choice(batch.size());
-      if (other == i) other = (other + 1) % batch.size();
-      if (batch[other]->m.rows() == state.m.rows()) {
-        nn::Value d_mismatch =
-            Forward(tape, tape.LeafRef(batch[other]->m), state);
-        sample_loss = tape.Add(
-            sample_loss,
-            tape.Neg(tape.Log(tape.Sub(one, d_mismatch))));
-      }
-    }
-    total = (terms == 0) ? sample_loss : tape.Add(total, sample_loss);
-    ++terms;
-  }
-  nn::Value loss = tape.Scale(total, 1.0 / static_cast<double>(terms));
-  optimizer_->ZeroGrad();
-  tape.Backward(loss);
-  net().CollectGrads();
-  optimizer_->Step();
-  return loss.scalar();
 }
 
 EpochStats GonModel::TrainEpoch(const std::vector<EncodedState>& data) {
@@ -749,7 +622,8 @@ void GonModel::FineTune(const std::vector<EncodedState>& recent,
     std::vector<const EncodedState*> batch;
     const auto order = rng_.Permutation(recent.size());
     const auto take = std::min<std::size_t>(
-        recent.size(), static_cast<std::size_t>(config_.batch_size));
+        recent.size(),
+        static_cast<std::size_t>(std::max(1, config_.batch_size)));
     for (std::size_t i = 0; i < take; ++i) {
       batch.push_back(&recent[order[i]]);
     }

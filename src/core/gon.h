@@ -20,9 +20,12 @@
 // buffers; generation reuses ONE arena tape across ascent steps and
 // intervals; and the *Batch entry points stack K candidate states into a
 // single kernel pass, so scoring the node-shift neighborhood costs one
-// forward instead of K. Per-host encoder rows and per-state attention
-// blocks are independent, so batched results match the sequential ones
-// exactly. Not thread-safe: use one GonModel per thread.
+// forward instead of K. This is the only execution path: a single-state
+// call is a batch of one. Per-host encoder rows and per-state attention
+// blocks are independent, so a batch matches one-state calls exactly
+// (pinned against an unfused fresh-tape reference in
+// tests/matrix_perf_test.cpp). Not thread-safe: use one GonModel per
+// thread.
 #ifndef CAROL_CORE_GON_H_
 #define CAROL_CORE_GON_H_
 
@@ -61,11 +64,6 @@ struct GonConfig {
   double weight_decay = 1e-5;
   int batch_size = 32;
   unsigned seed = 42;
-  // A/B safety valve for the latency work: when false, scoring and
-  // generation fall back to the seed-style path (fresh tape per call,
-  // unfused three-node dense layers, per-sample training graphs). The
-  // two paths compute the same values; benches measure the gap.
-  bool use_fast_path = true;
   // Threads for the tape-free batched scoring path (DiscriminateBatch /
   // the final GenerateBatch confidence pass): the K stacked states fan
   // out across a small reusable worker pool — per-state GAT attention
@@ -121,6 +119,12 @@ class GonModel {
       std::span<const nn::Matrix* const> inits,
       std::span<const EncodedState* const> contexts);
 
+  // Training rule (TrainEpoch, Train, FineTune): each minibatch trains as
+  // one stacked pass, so its states must share one host count. A
+  // minibatch that mixes host counts throws std::invalid_argument before
+  // it draws rng or updates weights (minibatches applied earlier in the
+  // same call stay applied).
+
   // One minibatch-SGD epoch of Algorithm 1 over the dataset.
   EpochStats TrainEpoch(const std::vector<EncodedState>& data);
 
@@ -148,24 +152,20 @@ class GonModel {
   struct Network;
   struct InferenceWorkspace;
 
-  // Builds the discriminator graph on `tape` for one state; m may be a
-  // requires-grad leaf (generation) or constant (scoring).
-  nn::Value Forward(nn::Tape& tape, nn::Value m, const EncodedState& ctx);
-  // Batched graph: `m` is the [K*H x 9] stacked metrics; returns the
-  // [K x 1] per-state scores.
+  // Discriminator graph over K states that share H: `m` is the
+  // [K*H x 9] stacked metrics, a requires-grad leaf (generation) or a
+  // constant (training inputs); returns the [K x 1] per-state scores.
   nn::Value ForwardBatch(nn::Tape& tape, nn::Value m,
                          std::span<const EncodedState* const> ctxs);
   // Tape-free stacked forward used by DiscriminateBatch.
   void ForwardInferenceBatch(std::span<const nn::Matrix* const> ms,
                              std::span<const EncodedState* const> ctxs,
                              std::vector<double>& out);
+  // One Algorithm-1 step on a minibatch; throws on mixed host counts.
   double TrainBatch(const std::vector<const EncodedState*>& batch);
-  double TrainBatchSequential(const std::vector<const EncodedState*>& batch);
-  // Stacks the given metric matrices into one [sum(H) x 9] tape leaf.
+  // Stacks K metric matrices that share H into one [K*H x 9] tape leaf.
   nn::Value StackLeaf(nn::Tape& tape,
                       std::span<const nn::Matrix* const> ms);
-  GenerationResult GenerateSequential(const nn::Matrix& m_init,
-                                      const EncodedState& context);
   static bool SameHostCount(std::span<const EncodedState* const> states);
 
   // Typed view over net_impl_ (replaces the old raw facade pointer).

@@ -48,7 +48,6 @@ Value Tape::FinishNode(std::size_t self,
   }
   n.requires_grad = needs_grad;
   n.backward = std::move(backward);
-  if (naive_) GradRef(self);  // seed-style eager gradient allocation
   return Value(this, self);
 }
 
@@ -70,30 +69,12 @@ Matrix& Tape::GradRef(std::size_t idx) {
   return n.grad;
 }
 
-namespace {
-
-// Textbook i-j-k triple loop over operator() indexing — the reference
-// kernel the fast path is benchmarked against.
-void NaiveMatMulInto(const Matrix& a, const Matrix& b, Matrix& out) {
-  out.AssignZeros(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) acc += a(i, k) * b(k, j);
-      out(i, j) = acc;
-    }
-  }
-}
-
-}  // namespace
-
 Value Tape::Leaf(Matrix m, bool requires_grad) {
   const std::size_t self = AcquireIndex();
   Node& n = nodes_[self];
   n.value = std::move(m);
   n.requires_grad = requires_grad;
   n.backward = nullptr;
-  if (naive_) GradRef(self);
   return Value(this, self);
 }
 
@@ -103,7 +84,6 @@ Value Tape::LeafRef(const Matrix& m, bool requires_grad) {
   n.value.CopyFrom(m);
   n.requires_grad = requires_grad;
   n.backward = nullptr;
-  if (naive_) GradRef(self);
   return Value(this, self);
 }
 
@@ -179,20 +159,6 @@ Value Tape::Mul(Value a, Value b) {
 Value Tape::MatMul(Value a, Value b) {
   const std::size_t ia = a.idx_, ib = b.idx_;
   const std::size_t self = AcquireIndex();
-  if (naive_) {
-    NaiveMatMulInto(nodes_[ia].value, nodes_[ib].value,
-                    nodes_[self].value);
-    return FinishNodeIL(self, {ia, ib}, [ia, ib](Tape& t, std::size_t s) {
-      const Matrix& g = t.node(s).grad;
-      // Seed-style: materialized transposes, temporaries, operator+=.
-      Matrix da;
-      NaiveMatMulInto(g, t.node(ib).value.Transposed(), da);
-      t.GradRef(ia) += da;
-      Matrix db;
-      NaiveMatMulInto(t.node(ia).value.Transposed(), g, db);
-      t.GradRef(ib) += db;
-    });
-  }
   Matrix::MatMulInto(nodes_[ia].value, nodes_[ib].value,
                      nodes_[self].value);
   return FinishNodeIL(self, {ia, ib}, [ia, ib](Tape& t, std::size_t s) {
@@ -314,12 +280,8 @@ Value Tape::Neg(Value a) { return Scale(a, -1.0); }
 Value Tape::Relu(Value a) {
   const std::size_t ia = a.idx_;
   const std::size_t self = AcquireIndex();
-  if (naive_) {
-    nodes_[self].value = NaiveMap(ia, scalar_ops::Relu);
-  } else {
-    nodes_[self].value.CopyFrom(nodes_[ia].value);
-    nodes_[self].value.MapInPlaceFn(scalar_ops::Relu);
-  }
+  nodes_[self].value.CopyFrom(nodes_[ia].value);
+  nodes_[self].value.MapInPlaceFn(scalar_ops::Relu);
   return FinishNodeIL(self, {ia}, [ia](Tape& t, std::size_t s) {
     const Matrix& g = t.node(s).grad;
     const Matrix& x = t.node(ia).value;
@@ -337,12 +299,8 @@ Value Tape::Relu(Value a) {
 Value Tape::Tanh(Value a) {
   const std::size_t ia = a.idx_;
   const std::size_t self = AcquireIndex();
-  if (naive_) {
-    nodes_[self].value = NaiveMap(ia, scalar_ops::Tanh);
-  } else {
-    nodes_[self].value.CopyFrom(nodes_[ia].value);
-    nodes_[self].value.MapInPlaceFn(scalar_ops::Tanh);
-  }
+  nodes_[self].value.CopyFrom(nodes_[ia].value);
+  nodes_[self].value.MapInPlaceFn(scalar_ops::Tanh);
   return FinishNodeIL(self, {ia}, [ia](Tape& t, std::size_t s) {
     const Matrix& g = t.node(s).grad;
     const Matrix& y = t.node(s).value;
@@ -360,12 +318,8 @@ Value Tape::Tanh(Value a) {
 Value Tape::Sigmoid(Value a) {
   const std::size_t ia = a.idx_;
   const std::size_t self = AcquireIndex();
-  if (naive_) {
-    nodes_[self].value = NaiveMap(ia, scalar_ops::Sigmoid);
-  } else {
-    nodes_[self].value.CopyFrom(nodes_[ia].value);
-    nodes_[self].value.MapInPlaceFn(scalar_ops::Sigmoid);
-  }
+  nodes_[self].value.CopyFrom(nodes_[ia].value);
+  nodes_[self].value.MapInPlaceFn(scalar_ops::Sigmoid);
   return FinishNodeIL(self, {ia}, [ia](Tape& t, std::size_t s) {
     const Matrix& g = t.node(s).grad;
     const Matrix& y = t.node(s).value;
@@ -383,12 +337,8 @@ Value Tape::Sigmoid(Value a) {
 Value Tape::Exp(Value a) {
   const std::size_t ia = a.idx_;
   const std::size_t self = AcquireIndex();
-  if (naive_) {
-    nodes_[self].value = NaiveMap(ia, [](double v) { return std::exp(v); });
-  } else {
-    nodes_[self].value.CopyFrom(nodes_[ia].value);
-    nodes_[self].value.MapInPlaceFn([](double v) { return std::exp(v); });
-  }
+  nodes_[self].value.CopyFrom(nodes_[ia].value);
+  nodes_[self].value.MapInPlaceFn([](double v) { return std::exp(v); });
   return FinishNodeIL(self, {ia}, [ia](Tape& t, std::size_t s) {
     t.node(ia).grad.HadamardAccum(t.node(s).grad, t.node(s).value);
   });
@@ -397,14 +347,9 @@ Value Tape::Exp(Value a) {
 Value Tape::Log(Value a) {
   const std::size_t ia = a.idx_;
   const std::size_t self = AcquireIndex();
-  if (naive_) {
-    nodes_[self].value =
-        NaiveMap(ia, [](double v) { return std::log(std::max(v, kLogEps)); });
-  } else {
-    nodes_[self].value.CopyFrom(nodes_[ia].value);
-    nodes_[self].value.MapInPlaceFn(
-        [](double v) { return std::log(std::max(v, kLogEps)); });
-  }
+  nodes_[self].value.CopyFrom(nodes_[ia].value);
+  nodes_[self].value.MapInPlaceFn(
+      [](double v) { return std::log(std::max(v, kLogEps)); });
   return FinishNodeIL(self, {ia}, [ia](Tape& t, std::size_t s) {
     const Matrix& g = t.node(s).grad;
     const Matrix& x = t.node(ia).value;

@@ -20,7 +20,8 @@
 //     gradient storage.
 //   * Fused `Linear*` ops emit one node per dense layer instead of three
 //     (MatMul + AddRowBroadcast + activation), sharing the forward kernel
-//     in nn/kernels.h with the tape-free inference path.
+//     in nn/kernels.h with the tape-free inference path. The unfused ops
+//     stay available as general-purpose primitives (LSTM cells, tests).
 #ifndef CAROL_NN_AUTOGRAD_H_
 #define CAROL_NN_AUTOGRAD_H_
 
@@ -141,14 +142,6 @@ class Tape {
   // Minimum value the Log op clamps its inputs to.
   static constexpr double kLogEps = 1e-12;
 
-  // Naive-kernel mode: ops run the reference implementations (textbook
-  // i-j-k MatMul, std::function-dispatched elementwise maps, eagerly
-  // zeroed per-node gradients, fresh allocations per op). Same values,
-  // seed-era cost — the measured baseline of bench/micro_latency and the
-  // execution strategy behind GonConfig::use_fast_path=false.
-  void set_naive_kernels(bool naive) { naive_ = naive; }
-  bool naive_kernels() const { return naive_; }
-
  private:
   friend class Value;
 
@@ -185,20 +178,8 @@ class Tape {
   Matrix& Scratch() { return scratch_; }
   Matrix& Scratch2() { return scratch2_; }
 
-  // Seed-style elementwise map that allocates a fresh result matrix
-  // (naive mode keeps the allocation behavior of the reference path; the
-  // callable is a template parameter like Matrix::MapFn, so the helper
-  // no longer pays a std::function dispatch per element).
-  template <typename Fn>
-  Matrix NaiveMap(std::size_t idx, Fn&& fn) {
-    Matrix out = nodes_[idx].value;  // fresh allocation, seed-style
-    for (double& v : out.flat()) v = fn(v);
-    return out;
-  }
-
   std::vector<Node> nodes_;
   std::size_t live_ = 0;
-  bool naive_ = false;
   Matrix scratch_;
   Matrix scratch2_;
   // Reusable Backward scratch.

@@ -44,20 +44,6 @@ Value Module::Bind(Tape& tape, Parameter& param) {
   return leaf;
 }
 
-Value Activate(Tape& tape, Value x, Activation act) {
-  switch (act) {
-    case Activation::kNone:
-      return x;
-    case Activation::kRelu:
-      return tape.Relu(x);
-    case Activation::kTanh:
-      return tape.Tanh(x);
-    case Activation::kSigmoid:
-      return tape.Sigmoid(x);
-  }
-  throw std::logic_error("Activate: unknown activation");
-}
-
 FusedAct ToFusedAct(Activation act) {
   switch (act) {
     case Activation::kNone:
@@ -88,11 +74,7 @@ Value Dense::Forward(Tape& tape, Value x) {
   }
   Value w = Bind(tape, w_);
   Value b = Bind(tape, b_);
-  if (fused_) {
-    return tape.Linear(x, w, b, ToFusedAct(act_));
-  }
-  Value y = tape.AddRowBroadcast(tape.MatMul(x, w), b);
-  return Activate(tape, y, act_);
+  return tape.Linear(x, w, b, ToFusedAct(act_));
 }
 
 std::vector<Parameter*> Dense::Parameters() { return {&w_, &b_}; }
@@ -135,10 +117,6 @@ std::vector<Module*> Mlp::Children() {
   return out;
 }
 
-void Mlp::set_fused(bool fused) {
-  for (auto& layer : layers_) layer.set_fused(fused);
-}
-
 const Matrix& Mlp::ForwardInference(const Matrix& x,
                                     std::array<Matrix, 2>& scratch) const {
   const Matrix* in = &x;
@@ -159,30 +137,6 @@ GraphAttention::GraphAttention(std::size_t in, std::size_t out,
       w_(name + ".w", Matrix::Xavier(in, out, rng)),
       b_(name + ".b", Matrix::Zeros(1, out)),
       wq_(name + ".wq", Matrix::Xavier(out, out, rng)) {}
-
-Value GraphAttention::Forward(Tape& tape, Value u, const Matrix& adjacency) {
-  const std::size_t h = u.rows();
-  if (adjacency.rows() != h || adjacency.cols() != h) {
-    throw std::invalid_argument("GraphAttention: adjacency must be HxH");
-  }
-  if (u.cols() != in_) {
-    throw std::invalid_argument("GraphAttention: input width mismatch");
-  }
-  Matrix mask = adjacency;
-  for (std::size_t i = 0; i < h; ++i) mask(i, i) = 1.0;  // self-loops
-
-  Value w = Bind(tape, w_);
-  Value b = Bind(tape, b_);
-  Value wq = Bind(tape, wq_);
-
-  Value hidden = fused_
-                     ? tape.LinearTanh(u, w, b)
-                     : tape.Tanh(tape.AddRowBroadcast(tape.MatMul(u, w), b));
-  Value query = tape.MatMul(hidden, wq);
-  Value scores = tape.MatMul(query, tape.Transpose(hidden));
-  Value attn = tape.MaskedRowSoftmax(scores, std::move(mask));
-  return tape.Sigmoid(tape.MatMul(attn, hidden));
-}
 
 Value GraphAttention::ForwardBatch(
     Tape& tape, Value u, std::span<const Matrix* const> adjacencies) {
@@ -212,7 +166,7 @@ Value GraphAttention::ForwardBatch(
 
   // Attention is per-state over the row block [s*H, (s+1)*H); a state's
   // rows never attend across the block boundary, so this matches K
-  // independent Forward calls exactly.
+  // independent one-state calls exactly.
   std::vector<Value> parts;
   parts.reserve(k);
   for (std::size_t s = 0; s < k; ++s) {

@@ -2,6 +2,8 @@
 // (Figure 3 of the paper: feed-forward encoders + one graph-attention layer
 // + sigmoid head) and by the learned baselines (LSTM/VAE for TopoMAD, GAN
 // for StepGAN and the With-GAN ablation, recurrent surrogate for FRAS).
+// Each layer has one tape forward: dense layers emit fused Linear nodes,
+// and the graph-attention forward is batched (one state is K = 1).
 #ifndef CAROL_NN_LAYERS_H_
 #define CAROL_NN_LAYERS_H_
 
@@ -82,16 +84,12 @@ class Module {
 
 enum class Activation { kNone, kRelu, kTanh, kSigmoid };
 
-// Applies an activation as a tape op.
-Value Activate(Tape& tape, Value x, Activation act);
-
 // Maps a layer activation onto the fused tape-op activation kind.
 FusedAct ToFusedAct(Activation act);
 
-// Fully connected layer: y = act(x W + b), x is [N x in].
-// By default this emits ONE fused Linear tape node per forward; the
-// unfused three-node form (MatMul + AddRowBroadcast + activation) is kept
-// behind set_fused(false) as the A/B reference for benches.
+// Fully connected layer: y = act(x W + b), x is [N x in]. Each forward
+// emits ONE fused Linear tape node (not MatMul + AddRowBroadcast +
+// activation).
 class Dense : public Module {
  public:
   Dense(std::size_t in, std::size_t out, common::Rng& rng,
@@ -105,7 +103,6 @@ class Dense : public Module {
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
   Activation activation() const { return act_; }
-  void set_fused(bool fused) { fused_ = fused; }
 
   // Tape-free forward into a caller-owned buffer (inference hot path);
   // uses the same LinearForward kernel as the fused tape op, so the
@@ -116,7 +113,6 @@ class Dense : public Module {
   std::size_t in_;
   std::size_t out_;
   Activation act_;
-  bool fused_ = true;
   Parameter w_;
   Parameter b_;
 };
@@ -133,8 +129,6 @@ class Mlp : public Module {
   std::vector<Parameter*> Parameters() override;
   std::vector<Module*> Children() override;
   std::size_t depth() const { return layers_.size(); }
-  // Propagates to every layer (bench A/B knob; fused is the default).
-  void set_fused(bool fused);
 
   // Tape-free forward for inference hot paths. `scratch` supplies two
   // recycled ping-pong buffers (grown on demand); the returned reference
@@ -159,17 +153,15 @@ class GraphAttention : public Module {
   GraphAttention(std::size_t in, std::size_t out, common::Rng& rng,
                  std::string name = "gat");
 
-  Value Forward(Tape& tape, Value u, const Matrix& adjacency);
-  // Batched forward over K stacked states: `u` is [K*H x in] (H = rows of
-  // each adjacency) and `adjacencies` has one H x H entry per state.
-  // The shared linear/query projections run as ONE kernel over all K*H
-  // rows; attention stays per-state (cross-state attention is impossible
-  // by construction, matching K independent Forward calls bit-for-bit).
+  // Forward over K stacked states: `u` is [K*H x in] (H = rows of each
+  // adjacency) and `adjacencies` has one H x H entry per state. The
+  // shared linear/query projections run as ONE kernel over all K*H rows;
+  // attention stays per-state (cross-state attention is impossible by
+  // construction, so each state's rows equal a K = 1 call's bit for bit).
   // Returns the stacked embeddings [K*H x out].
   Value ForwardBatch(Tape& tape, Value u,
                      std::span<const Matrix* const> adjacencies);
   std::vector<Parameter*> Parameters() override;
-  void set_fused(bool fused) { fused_ = fused; }
 
   // Recycled buffers for ForwardInferenceBatch. One Slot per pool thread
   // (slot 0 doubles as the sequential path's scratch); a Slot is only
@@ -201,7 +193,6 @@ class GraphAttention : public Module {
  private:
   std::size_t in_;
   std::size_t out_;
-  bool fused_ = true;
   Parameter w_;
   Parameter b_;
   Parameter wq_;

@@ -1150,7 +1150,7 @@ void WriteCarolConfig(common::BinaryWriter& w, const core::CarolConfig& c) {
   w.F64(c.gon.weight_decay);
   w.I32(c.gon.batch_size);
   w.U64(c.gon.seed);
-  w.Bool(c.gon.use_fast_path);
+  w.Bool(true);  // retired GonConfig::use_fast_path; byte kept for format
   w.I32(c.gon.attention_threads);
   w.F64(c.pot.risk);
   w.F64(c.pot.init_quantile);
@@ -1189,7 +1189,7 @@ core::CarolConfig ReadCarolConfig(common::BinaryReader& r,
   c.gon.weight_decay = r.F64();
   c.gon.batch_size = r.I32();
   c.gon.seed = static_cast<unsigned>(r.U64());
-  c.gon.use_fast_path = r.Bool();
+  r.Bool();  // retired byte, see WriteCarolConfig
   c.gon.attention_threads = r.I32();
   c.pot.risk = r.F64();
   c.pot.init_quantile = r.F64();

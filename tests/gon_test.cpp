@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/encoder.h"
@@ -184,6 +186,41 @@ TEST(GonTest, TrainEpochOnEmptyDataIsNoop) {
   GonModel gon(TinyConfig());
   const EpochStats stats = gon.TrainEpoch({});
   EXPECT_DOUBLE_EQ(stats.loss, 0.0);
+}
+
+TEST(GonTest, TrainingRejectsMixedHostMinibatch) {
+  // A minibatch trains as one stacked pass, so mixed host counts must
+  // throw before anything is drawn or written, not corrupt the stack.
+  GonModel gon(TinyConfig());
+  FeatureEncoder encoder;
+  const std::vector<EncodedState> mixed = {
+      encoder.Encode(MakeSnapshot(0.4, 2, 8)),
+      encoder.Encode(MakeSnapshot(0.4, 3, 12))};
+  std::vector<nn::Matrix> before;
+  for (const nn::Parameter* p : gon.network().Parameters()) {
+    before.push_back(p->value);
+  }
+  EXPECT_THROW(gon.TrainEpoch(mixed), std::invalid_argument);
+  EXPECT_THROW(gon.FineTune(mixed), std::invalid_argument);
+  const auto params = gon.network().Parameters();
+  ASSERT_EQ(params.size(), before.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(params[i]->value, before[i]) << params[i]->name;
+  }
+}
+
+TEST(GonTest, FineTuneWithZeroBatchSizeTrainsOneSample) {
+  // A non-positive batch_size clamps to one sample, as in TrainEpoch,
+  // instead of handing TrainBatch an empty minibatch.
+  GonConfig cfg = TinyConfig();
+  cfg.batch_size = 0;
+  GonModel gon(cfg);
+  FeatureEncoder encoder;
+  const std::vector<EncodedState> recent = {
+      encoder.Encode(MakeSnapshot(0.4)), encoder.Encode(MakeSnapshot(0.6))};
+  const nn::Matrix before = gon.network().Parameters().front()->value;
+  gon.FineTune(recent);
+  EXPECT_NE(gon.network().Parameters().front()->value, before);
 }
 
 TEST(GonTest, HostCountAgnostic) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "common/rng.h"
 #include "nn/autograd.h"
@@ -11,6 +12,13 @@
 
 namespace carol::nn {
 namespace {
+
+// One-state graph attention: a batch of one adjacency.
+Value GatForward(GraphAttention& gat, Tape& tape, Value u,
+                 const Matrix& adjacency) {
+  const Matrix* adj = &adjacency;
+  return gat.ForwardBatch(tape, u, std::span<const Matrix* const>(&adj, 1));
+}
 
 TEST(DenseTest, OutputShapeAndActivation) {
   common::Rng rng(1);
@@ -105,7 +113,7 @@ TEST(GraphAttentionTest, OutputShapeAndRange) {
   }
   Tape tape;
   Value u = tape.Leaf(Matrix::Randn(h, 4, rng));
-  Value e = gat.Forward(tape, u, adj);
+  Value e = GatForward(gat, tape, u, adj);
   EXPECT_EQ(e.rows(), h);
   EXPECT_EQ(e.cols(), 8u);
   // Sigmoid output in (0,1).
@@ -121,7 +129,7 @@ TEST(GraphAttentionTest, AgnosticToHostCount) {
   for (std::size_t h : {2u, 5u, 16u, 31u}) {
     Matrix adj(h, h, 1.0);
     Tape tape;
-    Value e = gat.Forward(tape, tape.Leaf(Matrix::Randn(h, 3, rng)), adj);
+    Value e = GatForward(gat, tape, tape.Leaf(Matrix::Randn(h, 3, rng)), adj);
     EXPECT_EQ(e.rows(), h);
     EXPECT_EQ(e.cols(), 4u);
   }
@@ -132,7 +140,7 @@ TEST(GraphAttentionTest, AdjacencyShapeMismatchThrows) {
   GraphAttention gat(3, 4, rng);
   Tape tape;
   Value u = tape.Leaf(Matrix(4, 3));
-  EXPECT_THROW(gat.Forward(tape, u, Matrix(3, 3)), std::invalid_argument);
+  EXPECT_THROW(GatForward(gat, tape, u, Matrix(3, 3)), std::invalid_argument);
 }
 
 TEST(GraphAttentionTest, GradientsFlowThroughAttention) {
@@ -141,7 +149,7 @@ TEST(GraphAttentionTest, GradientsFlowThroughAttention) {
   Matrix adj(4, 4, 1.0);
   Tape tape;
   Value u = tape.Leaf(Matrix::Randn(4, 3, rng), /*requires_grad=*/true);
-  Value loss = tape.MeanAll(gat.Forward(tape, u, adj));
+  Value loss = tape.MeanAll(GatForward(gat, tape, u, adj));
   tape.Backward(loss);
   gat.CollectGrads();
   EXPECT_GT(u.grad().Norm(), 0.0);
@@ -157,7 +165,7 @@ TEST(GraphAttentionTest, IsolatedNodeStillProducesOutput) {
   GraphAttention gat(2, 3, rng);
   Matrix adj(3, 3, 0.0);
   Tape tape;
-  Value e = gat.Forward(tape, tape.Leaf(Matrix::Randn(3, 2, rng)), adj);
+  Value e = GatForward(gat, tape, tape.Leaf(Matrix::Randn(3, 2, rng)), adj);
   EXPECT_TRUE(e.val().AllFinite());
   EXPECT_GT(e.val().MinValue(), 0.0);
 }

@@ -1,9 +1,14 @@
 // Correctness regressions for the nn fast path: the blocked/fused/batched
-// kernels must reproduce the naive reference implementations — a perf PR
-// must not move a single decision (see ISSUE 1 acceptance criteria).
+// kernels must reproduce textbook reference implementations, and the GON
+// must reproduce an unfused one-state-at-a-time reference network — a
+// perf change must not move a single decision.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +20,7 @@
 #include "core/tabu.h"
 #include "nn/autograd.h"
 #include "nn/kernels.h"
+#include "nn/layers.h"
 #include "nn/matrix.h"
 #include "sim/federation.h"
 #include "sim/topology.h"
@@ -26,7 +32,7 @@ using nn::Matrix;
 using nn::Tape;
 using nn::Value;
 
-// Textbook i-j-k reference product (the "naive kernel" of the ISSUE).
+// Textbook i-j-k reference product.
 Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols(), 0.0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -250,7 +256,7 @@ sim::SystemSnapshot PerfSnapshot(int hosts, int brokers, unsigned seed) {
   return snap;
 }
 
-core::GonConfig PerfGonConfig(bool fast) {
+core::GonConfig PerfGonConfig() {
   core::GonConfig cfg;
   cfg.hidden_width = 24;
   cfg.num_layers = 2;
@@ -258,9 +264,132 @@ core::GonConfig PerfGonConfig(bool fast) {
   cfg.generation_steps = 8;
   cfg.batch_size = 8;
   cfg.seed = 21;
-  cfg.use_fast_path = fast;
   return cfg;
 }
+
+// Test-only reference GON: the same network as core::GonModel, rebuilt
+// from unfused tape primitives (MatMul + AddRowBroadcast + activation per
+// dense layer, single-state graph attention) on a fresh tape per call,
+// with the weights read from gon.network() by parameter name. Generate is
+// the per-candidate Eq.-1 ascent loop with one fresh tape per step. The
+// library's fused, stacked, tape-free path must match it.
+class ReferenceGon {
+ public:
+  explicit ReferenceGon(core::GonModel& gon) : config_(gon.config()) {
+    for (nn::Parameter* p : gon.network().Parameters()) {
+      params_[p->name] = &p->value;
+    }
+  }
+
+  double Discriminate(const core::EncodedState& state) const {
+    Tape tape;
+    return Forward(tape, tape.Leaf(state.m), state).scalar();
+  }
+
+  core::GenerationResult Generate(const Matrix& m_init,
+                                  const core::EncodedState& context) const {
+    core::GenerationResult result;
+    Matrix m_cur = m_init;
+    const double lr = config_.generation_lr;
+    double prev_objective = -std::numeric_limits<double>::infinity();
+    for (int step = 0; step < config_.generation_steps; ++step) {
+      Tape tape;
+      Value m = tape.Leaf(m_cur, /*requires_grad=*/true);
+      Value objective = tape.Log(Forward(tape, m, context));
+      const double obj = objective.scalar();
+      tape.Backward(objective);
+      const Matrix& grad = m.grad();
+      // M <- clamp(M + gamma * grad / max|grad|), stopping once the
+      // log-likelihood improvement stalls.
+      double grad_scale = 0.0;
+      for (const double g : grad.flat()) {
+        grad_scale = std::max(grad_scale, std::abs(g));
+      }
+      if (grad_scale < 1e-12) break;
+      bool moved = false;
+      for (std::size_t r = 0; r < m_cur.rows(); ++r) {
+        for (std::size_t c = 0; c < m_cur.cols(); ++c) {
+          const double delta = lr * grad(r, c) / grad_scale;
+          if (std::abs(delta) > 1e-9) moved = true;
+          m_cur(r, c) = std::clamp(m_cur(r, c) + delta, 0.0, 1.0);
+        }
+      }
+      ++result.steps;
+      if (!moved || std::abs(obj - prev_objective) < config_.generation_tol) {
+        break;
+      }
+      prev_objective = obj;
+    }
+    result.metrics = std::move(m_cur);
+    core::EncodedState scored = context;
+    scored.m = result.metrics;
+    result.confidence = Discriminate(scored);
+    return result;
+  }
+
+ private:
+  Value Param(Tape& tape, const std::string& name) const {
+    return tape.Leaf(*params_.at(name));
+  }
+
+  Value Dense(Tape& tape, Value x, const std::string& name,
+              nn::Activation act) const {
+    Value y = tape.AddRowBroadcast(tape.MatMul(x, Param(tape, name + ".w")),
+                                   Param(tape, name + ".b"));
+    switch (act) {
+      case nn::Activation::kNone:
+        return y;
+      case nn::Activation::kRelu:
+        return tape.Relu(y);
+      case nn::Activation::kTanh:
+        return tape.Tanh(y);
+      case nn::Activation::kSigmoid:
+        return tape.Sigmoid(y);
+    }
+    return y;
+  }
+
+  // Layers "<prefix>.l0", "<prefix>.l1", ...: ReLU hidden, `out` last.
+  Value Mlp(Tape& tape, Value x, const std::string& prefix,
+            nn::Activation out) const {
+    for (int i = 0; params_.contains(LayerName(prefix, i) + ".w"); ++i) {
+      const bool last = !params_.contains(LayerName(prefix, i + 1) + ".w");
+      x = Dense(tape, x, LayerName(prefix, i),
+                last ? out : nn::Activation::kRelu);
+    }
+    return x;
+  }
+
+  static std::string LayerName(const std::string& prefix, int i) {
+    return prefix + ".l" + std::to_string(i);
+  }
+
+  // Eq. (4) for one state, self-loops added.
+  Value GraphAttention(Tape& tape, Value u, const Matrix& adjacency) const {
+    Matrix mask = adjacency;
+    for (std::size_t i = 0; i < mask.rows(); ++i) mask(i, i) = 1.0;
+    Value hidden = tape.Tanh(tape.AddRowBroadcast(
+        tape.MatMul(u, Param(tape, "gon.gat.w")), Param(tape, "gon.gat.b")));
+    Value query = tape.MatMul(hidden, Param(tape, "gon.gat.wq"));
+    Value scores = tape.MatMul(query, tape.Transpose(hidden));
+    Value attn = tape.MaskedRowSoftmax(scores, std::move(mask));
+    return tape.Sigmoid(tape.MatMul(attn, hidden));
+  }
+
+  // Figure 3: per-host [M,S] encoder and GAT over the utilization
+  // columns + role flags, mean-pooled into the sigmoid head (Eqs. 3-5).
+  Value Forward(Tape& tape, Value m, const core::EncodedState& ctx) const {
+    Value e_ms = Mlp(tape, tape.ConcatCols(m, tape.Leaf(ctx.s)), "gon.ms",
+                     nn::Activation::kRelu);
+    Value u = tape.ConcatCols(tape.SliceCols(m, 0, 4), tape.Leaf(ctx.roles));
+    Value e_g = GraphAttention(tape, u, ctx.adjacency);
+    Value pooled = tape.ConcatCols(tape.RowMean(e_ms), tape.RowMean(e_g));
+    return Mlp(tape, pooled, "gon.head", nn::Activation::kSigmoid);
+  }
+
+  core::GonConfig config_;
+  std::map<std::string, const Matrix*> params_;
+};
 
 std::vector<core::EncodedState> PerfStates(int count, int hosts = 8) {
   core::FeatureEncoder encoder;
@@ -274,7 +403,7 @@ std::vector<core::EncodedState> PerfStates(int count, int hosts = 8) {
 }
 
 TEST(GonBatchTest, DiscriminateBatchMatchesSequential) {
-  core::GonModel gon(PerfGonConfig(true));
+  core::GonModel gon(PerfGonConfig());
   const auto states = PerfStates(16);
   const std::vector<double> batch = gon.DiscriminateBatch(
       std::span<const core::EncodedState>(states));
@@ -287,9 +416,9 @@ TEST(GonBatchTest, DiscriminateBatchMatchesSequential) {
 }
 
 TEST(GonBatchTest, FastPathMatchesSeedStylePath) {
-  // Same seed => identical weights; only the execution strategy differs.
-  core::GonModel fast(PerfGonConfig(true));
-  core::GonModel slow(PerfGonConfig(false));
+  // Same weights; only the execution strategy differs.
+  core::GonModel fast(PerfGonConfig());
+  const ReferenceGon slow(fast);
   const auto states = PerfStates(4);
   for (const auto& state : states) {
     EXPECT_NEAR(fast.Discriminate(state), slow.Discriminate(state), 1e-9);
@@ -297,8 +426,8 @@ TEST(GonBatchTest, FastPathMatchesSeedStylePath) {
 }
 
 TEST(GonBatchTest, GenerateBatchMatchesSequentialGenerate) {
-  core::GonModel fast(PerfGonConfig(true));
-  core::GonModel slow(PerfGonConfig(false));
+  core::GonModel fast(PerfGonConfig());
+  const ReferenceGon slow(fast);
   const auto states = PerfStates(6);
 
   std::vector<const nn::Matrix*> inits;
@@ -318,8 +447,8 @@ TEST(GonBatchTest, GenerateBatchMatchesSequentialGenerate) {
   }
 }
 
-TEST(GonBatchTest, MixedHostCountsFallBackToSequential) {
-  core::GonModel gon(PerfGonConfig(true));
+TEST(GonBatchTest, MixedHostCountsAreBucketedByH) {
+  core::GonModel gon(PerfGonConfig());
   core::FeatureEncoder encoder;
   std::vector<core::EncodedState> states;
   states.push_back(encoder.Encode(PerfSnapshot(8, 2, 1)));

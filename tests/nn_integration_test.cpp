@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "common/rng.h"
 #include "nn/autograd.h"
@@ -130,7 +131,9 @@ TEST(NnIntegrationTest, GatDistinguishesGraphStructure) {
   const Matrix features = Matrix::Randn(6, 2, feat_rng, 0.5, 0.2);
 
   auto forward = [&](Tape& tape, const Matrix& adj) {
-    Value e = gat.Forward(tape, tape.Leaf(features), adj);
+    const Matrix* adj_ptr = &adj;
+    Value e = gat.ForwardBatch(tape, tape.Leaf(features),
+                               std::span<const Matrix* const>(&adj_ptr, 1));
     return head.Forward(tape, tape.RowMean(e));
   };
 
