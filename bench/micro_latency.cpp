@@ -1,15 +1,14 @@
 // Micro-benchmarks of the latency-critical inner loops: matrix kernels,
-// GON forward pass / input-space generation, batched and threaded GON
-// scoring, node-shift neighborhood expansion, tabu repair and POT
-// updates.
+// GON forward pass / input-space generation, batched GON scoring,
+// node-shift neighborhood expansion, tabu repair and POT updates.
 //
 // Self-timed (no external benchmark dependency) and machine-readable:
 // every measurement is appended to BENCH_micro.json as
 //   {"op", "shape", "ns_per_op", "baseline_ns_per_op", "speedup"}
 // so the perf trajectory is tracked from PR 1 onward. `baseline` is a
 // reference measured in the same process (textbook i-j-k matmul,
-// std::function map, per-state scoring, 1-thread scoring, full rehash);
-// rows without one report 0.
+// std::function map, per-state scoring, full rehash); rows without one
+// report 0.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -222,11 +221,8 @@ void BenchGon() {
 }
 
 // Large federations (H >= 64): the decision path is dominated by the
-// O(H^2) per-state GAT attention, which the WorkerPool fans across the K
-// stacked states. Rows report the threaded batched scoring pass against
-// the sequential (1-thread) pass on the SAME inputs; values are
-// bit-identical, only the wall clock moves. CI gates the H=128 T=4 row
-// at > 1.5x on 4+-core runners.
+// O(H^2) per-state GAT attention. Rows report the stacked scoring pass
+// against per-state calls on the SAME inputs.
 void BenchGonLargeH() {
   constexpr int kBatch = 16;
   core::FeatureEncoder encoder;
@@ -237,33 +233,18 @@ void BenchGonLargeH() {
       snap.hosts[static_cast<std::size_t>(i % hosts)].cpu_util += 0.3;
       states.push_back(encoder.Encode(snap));
     }
-    const std::string shape_base =
-        "K=" + std::to_string(kBatch) + " H=" + std::to_string(hosts);
-
-    core::GonModel sequential(core::GonConfig{});
-    const double seq_ns = TimeNs([&] {
-      const auto scores = sequential.DiscriminateBatch(
-          std::span<const core::EncodedState>(states));
+    core::GonModel gon(core::GonConfig{});
+    const double batch = TimeNs([&] {
+      const auto scores =
+          gon.DiscriminateBatch(std::span<const core::EncodedState>(states));
       g_sink += scores[0];
     });
-    // The unthreaded stacked pass itself, vs per-state fast calls.
-    const double fast_seq = TimeNs([&] {
-      for (const auto& s : states) g_sink += sequential.Discriminate(s);
+    const double per_state = TimeNs([&] {
+      for (const auto& s : states) g_sink += gon.Discriminate(s);
     });
-    Report("gon_discriminate_batch_vs_fast", shape_base, seq_ns, fast_seq);
-
-    for (int threads : {2, 4}) {
-      core::GonConfig cfg;
-      cfg.attention_threads = threads;
-      core::GonModel threaded(cfg);
-      const double thr_ns = TimeNs([&] {
-        const auto scores = threaded.DiscriminateBatch(
-            std::span<const core::EncodedState>(states));
-        g_sink += scores[0];
-      });
-      Report("gon_discriminate_batch_threads",
-             shape_base + " T=" + std::to_string(threads), thr_ns, seq_ns);
-    }
+    Report("gon_discriminate_batch_vs_fast",
+           "K=" + std::to_string(kBatch) + " H=" + std::to_string(hosts),
+           batch, per_state);
   }
 }
 

@@ -2,10 +2,9 @@
 // federation sessions issue broker-failure repair decisions over a pool
 // of W GON worker replicas. Sweeps worker and session counts and emits
 // machine-readable BENCH_service.json rows:
-//   {"workers", "sessions", "hosts", "attention_threads", "requests",
-//    "decisions_per_sec", "p50_ms", "p99_ms", "pipeline_passes",
-//    "pipeline_jobs", "pipeline_states", "stacking_ratio",
-//    "observability"}
+//   {"workers", "sessions", "hosts", "requests", "decisions_per_sec",
+//    "p50_ms", "p99_ms", "pipeline_passes", "pipeline_jobs",
+//    "pipeline_states", "stacking_ratio", "observability"}
 // Headline checks: multi-session decision throughput must scale with the
 // worker count, and the pipeline must stack concurrent sessions'
 // frontiers into shared kernel passes with ZERO linger (stacking_ratio =
@@ -73,7 +72,6 @@ struct SweepResult {
   int workers = 0;
   int sessions = 0;
   int hosts = kHosts;
-  int attention_threads = 1;
   int requests = 0;
   double decisions_per_sec = 0.0;
   double p50_ms = 0.0;
@@ -85,12 +83,11 @@ struct SweepResult {
 };
 
 SweepResult RunSweep(int workers, int sessions, int requests_per_session,
-                     int hosts = kHosts, int attention_threads = 1) {
+                     int hosts = kHosts) {
   const int brokers = std::max(2, hosts / 4);
   serve::ServiceConfig cfg;
   cfg.gon = BenchCarolConfig(1).gon;
   cfg.num_workers = workers;
-  cfg.attention_threads = attention_threads;
   cfg.observability = g_observability;
   serve::ResilienceService service(cfg);
 
@@ -132,7 +129,6 @@ SweepResult RunSweep(int workers, int sessions, int requests_per_session,
   result.workers = workers;
   result.sessions = sessions;
   result.hosts = hosts;
-  result.attention_threads = attention_threads;
   result.requests = sessions * requests_per_session;
   result.decisions_per_sec = result.requests / wall_s;
   std::vector<double> all;
@@ -168,10 +164,9 @@ int main() {
                   "the pipeline stacks cross-session frontiers with zero "
                   "linger; observability ") +
       (g_observability ? "ON)" : "OFF)"));
-  std::printf("%-9s %-9s %-7s %-7s %-9s %-14s %-9s %-9s %-8s %-8s %-8s\n",
-              "workers", "sessions", "hosts", "threads", "requests",
-              "decisions/sec", "p50(ms)", "p99(ms)", "passes", "jobs",
-              "stack");
+  std::printf("%-9s %-9s %-7s %-9s %-14s %-9s %-9s %-8s %-8s %-8s\n",
+              "workers", "sessions", "hosts", "requests", "decisions/sec",
+              "p50(ms)", "p99(ms)", "passes", "jobs", "stack");
 
   const std::vector<int> worker_counts = fast ? std::vector<int>{1, 4}
                                               : std::vector<int>{1, 2, 4};
@@ -179,16 +174,15 @@ int main() {
                                                : std::vector<int>{1, 4, 8};
   std::vector<SweepResult> results;
   auto run_cell = [&](int workers, int sessions, int hosts = kHosts,
-                      int attention_threads = 1,
                       int requests_override = 0) {
     const SweepResult r = RunSweep(
         workers, sessions,
         requests_override > 0 ? requests_override : requests_per_session,
-        hosts, attention_threads);
-    std::printf("%-9d %-9d %-7d %-7d %-9d %-14.1f %-9.2f %-9.2f %-8llu "
+        hosts);
+    std::printf("%-9d %-9d %-7d %-9d %-14.1f %-9.2f %-9.2f %-8llu "
                 "%-8llu %-8.2f\n",
-                r.workers, r.sessions, r.hosts, r.attention_threads,
-                r.requests, r.decisions_per_sec, r.p50_ms, r.p99_ms,
+                r.workers, r.sessions, r.hosts, r.requests,
+                r.decisions_per_sec, r.p50_ms, r.p99_ms,
                 static_cast<unsigned long long>(r.pipeline_passes),
                 static_cast<unsigned long long>(r.pipeline_jobs),
                 r.stacking_ratio);
@@ -197,16 +191,12 @@ int main() {
   for (int workers : worker_counts) {
     for (int sessions : session_counts) run_cell(workers, sessions);
   }
-  // Large federations (H in {64, 128}): the O(H^2) attention dominates,
-  // so each cell is run unthreaded and with a 4-thread per-replica
-  // attention pool — same decisions, different wall clock. Fewer
-  // requests per cell: one H=128 repair costs ~64x an H=16 one.
+  // Large federations (H in {64, 128}), where the O(H^2) attention
+  // dominates. Fewer requests per cell: one H=128 repair costs ~64x an
+  // H=16 one.
   const int large_requests = std::max(2, requests_per_session / 4);
   for (int hosts : {64, 128}) {
-    for (int attention_threads : {1, 4}) {
-      run_cell(/*workers=*/2, /*sessions=*/4, hosts, attention_threads,
-               large_requests);
-    }
+    run_cell(/*workers=*/2, /*sessions=*/4, hosts, large_requests);
   }
 
   // Headline scaling: 8-session H=16 throughput, 1 worker -> max
@@ -246,13 +236,12 @@ int main() {
     std::fprintf(
         out,
         "  {\"workers\": %d, \"sessions\": %d, \"hosts\": %d, "
-        "\"attention_threads\": %d, "
         "\"requests\": %d, \"decisions_per_sec\": %.3f, "
         "\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
         "\"pipeline_passes\": %llu, \"pipeline_jobs\": %llu, "
         "\"pipeline_states\": %llu, \"stacking_ratio\": %.3f, "
         "\"observability\": %s}%s\n",
-        r.workers, r.sessions, r.hosts, r.attention_threads, r.requests,
+        r.workers, r.sessions, r.hosts, r.requests,
         r.decisions_per_sec, r.p50_ms, r.p99_ms,
         static_cast<unsigned long long>(r.pipeline_passes),
         static_cast<unsigned long long>(r.pipeline_jobs),

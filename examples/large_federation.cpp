@@ -1,13 +1,10 @@
 // Scenario: LARGE federations — two 64-host edge federations (16 LEIs
 // each, tiled Raspberry-Pi sites from sim::ScaledTestbedSpecs) served
-// concurrently by one ResilienceService with per-replica attention
-// threading.
+// concurrently by one ResilienceService.
 //
 // What this demonstrates (and what CI smoke-checks):
-//   * the repair hot path scales to H >= 64: the O(H^2) per-state GAT
-//     attention fans out across a per-replica worker pool
-//     (ServiceConfig::attention_threads) while decisions stay
-//     bit-identical to the sequential path;
+//   * the repair hot path scales to H >= 64 (the O(H^2) per-state GAT
+//     attention dominates each stacked scoring pass);
 //   * tabu candidate filtering uses the incremental Topology::Hash —
 //     no per-candidate O(H) rehash anywhere in the search;
 //   * the final per-decision confidence calls stack into the same flush
@@ -26,8 +23,8 @@
 
 int main() {
   using namespace carol;
-  std::printf("== large federations: two 64-host fleets, one service, "
-              "threaded attention ==\n\n");
+  std::printf("== large federations: two 64-host fleets, one service "
+              "==\n\n");
 
   // Trimmed surrogate + search budgets: H=64 repairs score frontiers of
   // ~60 candidates per tabu round, each candidate a 64x9 generation.
@@ -43,10 +40,6 @@ int main() {
   serve::ServiceConfig service_cfg;
   service_cfg.gon = base.gon;
   service_cfg.num_workers = 2;
-  // Per-replica attention threading: each worker's GON fans the
-  // per-state attention of its stacked passes across 2 threads
-  // (2 workers x 2 threads sizes the product to a 4-core box).
-  service_cfg.attention_threads = 2;
   // Backpressure: never hold more than 64 admitted repairs.
   service_cfg.max_pending_requests = 64;
   serve::ResilienceService service(service_cfg);
@@ -117,8 +110,6 @@ int main() {
     return 1;
   }
   std::printf("\nexpected: both 64-host fleets finish with valid "
-              "topologies and bounded decision latency; decisions are "
-              "bit-identical to the unthreaded path (attention threading "
-              "partitions work, never arithmetic).\n");
+              "topologies and bounded decision latency.\n");
   return 0;
 }

@@ -70,14 +70,6 @@ struct GonModel::InferenceWorkspace {
   std::vector<const nn::Matrix*> adj_ptrs;
   std::vector<const nn::Matrix*> m_ptrs;
   std::vector<double> scores;
-  // Per-thread encoder scratch for the threaded scoring path: thread t
-  // owns chunk t (the pool hands each thread one contiguous state block,
-  // and only that thread ever touches its slot's buffers).
-  struct EncoderChunk {
-    nn::Matrix in;  // this thread's [B*H x 11] row block
-    std::array<nn::Matrix, 2> mlp;
-  };
-  std::vector<EncoderChunk> enc_chunks;
 };
 
 GonModel::~GonModel() = default;
@@ -89,9 +81,6 @@ GonModel::GonModel(const GonConfig& config)
       net().Parameters(), config_.train_lr, 0.9, 0.999, 1e-8,
       config_.weight_decay);
   inference_ = std::make_unique<InferenceWorkspace>();
-  if (config_.attention_threads > 1) {
-    pool_ = std::make_unique<nn::WorkerPool>(config_.attention_threads);
-  }
 }
 
 nn::Module& GonModel::network() { return *net_impl_; }
@@ -158,60 +147,45 @@ void GonModel::ForwardInferenceBatch(
   const std::size_t k = ctxs.size();
   const std::size_t h = ctxs.front()->m.rows();
   const std::size_t mc = FeatureEncoder::kMetricFeatures;
-  nn::WorkerPool* pool = (pool_ && k > 1) ? pool_.get() : nullptr;
 
-  // Stack [M_i, S_i] rows and the GAT inputs in one sweep. Each state
-  // owns its row block, so the sweep fans out across the pool.
+  // Stack [M_i, S_i] rows and the GAT inputs in one sweep.
   ws.ms_stack.Resize(k * h, kMsInputWidth);
   ws.u_stack.Resize(k * h, kGatInputWidth);
-  auto stack_states = [&](std::size_t i0, std::size_t i1, int) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const nn::Matrix& m = *ms[i];
-      const EncodedState& ctx = *ctxs[i];
-      for (std::size_t r = 0; r < h; ++r) {
-        auto mrow = m.row(r);
-        auto srow = ctx.s.row(r);
-        auto rrow = ctx.roles.row(r);
-        auto ms_row = ws.ms_stack.row(i * h + r);
-        std::copy(mrow.begin(), mrow.end(), ms_row.begin());
-        std::copy(srow.begin(), srow.end(),
-                  ms_row.begin() + static_cast<std::ptrdiff_t>(mc));
-        auto u_row = ws.u_stack.row(i * h + r);
-        std::copy(mrow.begin(), mrow.begin() + 4, u_row.begin());
-        std::copy(rrow.begin(), rrow.end(), u_row.begin() + 4);
-      }
+  for (std::size_t i = 0; i < k; ++i) {
+    const nn::Matrix& m = *ms[i];
+    const EncodedState& ctx = *ctxs[i];
+    for (std::size_t r = 0; r < h; ++r) {
+      auto mrow = m.row(r);
+      auto srow = ctx.s.row(r);
+      auto rrow = ctx.roles.row(r);
+      auto ms_row = ws.ms_stack.row(i * h + r);
+      std::copy(mrow.begin(), mrow.end(), ms_row.begin());
+      std::copy(srow.begin(), srow.end(),
+                ms_row.begin() + static_cast<std::ptrdiff_t>(mc));
+      auto u_row = ws.u_stack.row(i * h + r);
+      std::copy(mrow.begin(), mrow.begin() + 4, u_row.begin());
+      std::copy(rrow.begin(), rrow.end(), u_row.begin() + 4);
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(k, stack_states);
-  } else {
-    stack_states(0, k, 0);
   }
 
-  // GAT branch: shared projections row-partitioned by state block,
-  // per-state attention fanned across the pool (see layers.cpp).
+  // GAT branch: shared projections batched, attention per state.
   ws.adj_ptrs.clear();
   for (const EncodedState* ctx : ctxs) ws.adj_ptrs.push_back(&ctx->adjacency);
-  net.gat.ForwardInferenceBatch(ws.u_stack, ws.adj_ptrs, ws.gat, ws.e_g,
-                                pool);
+  net.gat.ForwardInferenceBatch(ws.u_stack, ws.adj_ptrs, ws.gat, ws.e_g);
 
   // Encoder + per-state mean-pool (same sum-then-scale order as the
-  // RowMean op). Threaded: each thread encodes its contiguous state
-  // chunk's rows and pools them straight into the (disjoint) pooled
-  // rows — the row-partitioned encoder equals the one stacked kernel of
-  // the sequential path bit for bit (see src/nn/README.md).
+  // RowMean op).
+  const nn::Matrix& e_ms =
+      net.ms_encoder.ForwardInference(ws.ms_stack, ws.mlp_scratch);
   const std::size_t gw = ws.e_g.cols();
   const std::size_t hw = static_cast<std::size_t>(config_.hidden_width);
   const double inv = h == 0 ? 0.0 : 1.0 / static_cast<double>(h);
   ws.pooled.Resize(k, hw + gw);
-  auto pool_states = [&](const nn::Matrix& e_ms, std::size_t i,
-                         std::size_t ms_row_base) {
+  for (std::size_t i = 0; i < k; ++i) {
     double* prow = ws.pooled.flat().data() + i * (hw + gw);
     for (std::size_t c = 0; c < hw; ++c) {
       double acc = 0.0;
-      for (std::size_t r = 0; r < h; ++r) {
-        acc += e_ms(i * h - ms_row_base + r, c);
-      }
+      for (std::size_t r = 0; r < h; ++r) acc += e_ms(i * h + r, c);
       prow[c] = acc * inv;
     }
     for (std::size_t c = 0; c < gw; ++c) {
@@ -219,24 +193,6 @@ void GonModel::ForwardInferenceBatch(
       for (std::size_t r = 0; r < h; ++r) acc += ws.e_g(i * h + r, c);
       prow[hw + c] = acc * inv;
     }
-  };
-  if (pool != nullptr) {
-    if (ws.enc_chunks.size() <
-        static_cast<std::size_t>(pool->thread_count())) {
-      ws.enc_chunks.resize(static_cast<std::size_t>(pool->thread_count()));
-    }
-    pool->ParallelFor(k, [&](std::size_t i0, std::size_t i1, int t) {
-      InferenceWorkspace::EncoderChunk& chunk =
-          ws.enc_chunks[static_cast<std::size_t>(t)];
-      chunk.in.CopyRowsFrom(ws.ms_stack, i0 * h, i1 * h);
-      const nn::Matrix& e_ms =
-          net.ms_encoder.ForwardInference(chunk.in, chunk.mlp);
-      for (std::size_t i = i0; i < i1; ++i) pool_states(e_ms, i, i0 * h);
-    });
-  } else {
-    const nn::Matrix& e_ms =
-        net.ms_encoder.ForwardInference(ws.ms_stack, ws.mlp_scratch);
-    for (std::size_t i = 0; i < k; ++i) pool_states(e_ms, i, 0);
   }
 
   const nn::Matrix& scores =

@@ -37,7 +37,6 @@
 #include "nn/autograd.h"
 #include "nn/layers.h"
 #include "nn/optim.h"
-#include "nn/threading.h"
 
 namespace carol::core {
 
@@ -64,15 +63,6 @@ struct GonConfig {
   double weight_decay = 1e-5;
   int batch_size = 32;
   unsigned seed = 42;
-  // Threads for the tape-free batched scoring path (DiscriminateBatch /
-  // the final GenerateBatch confidence pass): the K stacked states fan
-  // out across a small reusable worker pool — per-state GAT attention
-  // (the O(H^2) block that dominates H>=64), encoder rows and pooling.
-  // Results are bit-identical to the sequential path for any value
-  // (pinned by tests/attention_threading_test.cpp). 1 = sequential, no
-  // pool is created. The tape-based generation ascent stays sequential
-  // (tape node construction shares one arena).
-  int attention_threads = 1;
 };
 
 struct GenerationResult {
@@ -178,10 +168,6 @@ class GonModel {
   // Arena tape recycled across scoring/generation/training calls.
   nn::Tape tape_;
   std::unique_ptr<InferenceWorkspace> inference_;
-  // Worker pool for the threaded scoring path (attention_threads > 1).
-  // Owned per model: GonModel stays single-driver, the pool only fans
-  // out within one ForwardInferenceBatch call.
-  std::unique_ptr<nn::WorkerPool> pool_;
 };
 
 }  // namespace carol::core

@@ -183,7 +183,7 @@ Value GraphAttention::ForwardBatch(
 
 void GraphAttention::ForwardInferenceBatch(
     const Matrix& u, std::span<const Matrix* const> adjacencies,
-    InferenceScratch& ws, Matrix& out, WorkerPool* pool) const {
+    InferenceScratch& ws, Matrix& out) const {
   if (adjacencies.empty()) {
     throw std::invalid_argument(
         "GraphAttention::ForwardInferenceBatch: empty batch");
@@ -196,54 +196,27 @@ void GraphAttention::ForwardInferenceBatch(
   }
   out.Resize(k * h, out_);
 
-  // The O(H^2) attention block of state s only reads that state's row
-  // block [s*H, (s+1)*H) and writes the matching rows of `out`, so the
-  // K states fan out across threads. The shared tanh/query projections
-  // are row-partitioned along the same state blocks: the blocked MatMul
-  // kernel accumulates each output row independently of which rows share
-  // the call, so the per-block projections are bit-identical to the one
-  // stacked kernel of the sequential path.
-  auto run_block = [&](std::size_t s0, std::size_t s1,
-                       InferenceScratch::Slot& slot, const Matrix& hidden,
-                       const Matrix& query, std::size_t row_base) {
-    for (std::size_t s = s0; s < s1; ++s) {
-      slot.mask.CopyFrom(*adjacencies[s]);
-      for (std::size_t i = 0; i < h; ++i) slot.mask(i, i) = 1.0;  // self-loops
-      const std::size_t local = s * h - row_base;
-      slot.hid_s.CopyRowsFrom(hidden, local, local + h);
-      slot.q_s.CopyRowsFrom(query, local, local + h);
-      // Same transpose + blocked-product kernels as the tape path, so the
-      // scores match the tape ops bit for bit.
-      Matrix::TransposeInto(slot.hid_s, slot.ht_s);
-      Matrix::MatMulInto(slot.q_s, slot.ht_s, slot.scores);
-      MaskedRowSoftmaxForward(slot.scores, slot.mask, slot.attn);
-      Matrix::MatMulInto(slot.attn, slot.hid_s, slot.e_s);
-      ApplyActivationInPlace(slot.e_s, FusedAct::kSigmoid);
-      std::copy(
-          slot.e_s.flat().begin(), slot.e_s.flat().end(),
-          out.flat().begin() + static_cast<std::ptrdiff_t>(s * h * out_));
-    }
-  };
+  // Shared projections over the whole stack: one kernel for K states.
+  LinearForward(u, w_.value, b_.value, FusedAct::kTanh, ws.hidden);
+  Matrix::MatMulInto(ws.hidden, wq_.value, ws.query);
 
-  if (pool != nullptr && pool->thread_count() > 1 && k > 1) {
-    ws.EnsureSlots(static_cast<std::size_t>(pool->thread_count()));
-    pool->ParallelFor(k, [&](std::size_t s0, std::size_t s1, int t) {
-      InferenceScratch::Slot& slot = ws.slots[static_cast<std::size_t>(t)];
-      // Per-block shared projections over this thread's state rows.
-      slot.u_s.CopyRowsFrom(u, s0 * h, s1 * h);
-      LinearForward(slot.u_s, w_.value, b_.value, FusedAct::kTanh,
-                    slot.hidden);
-      Matrix::MatMulInto(slot.hidden, wq_.value, slot.query);
-      run_block(s0, s1, slot, slot.hidden, slot.query, s0 * h);
-    });
-    return;
+  // Attention is per-state over the row block [s*H, (s+1)*H), as in
+  // ForwardBatch.
+  for (std::size_t s = 0; s < k; ++s) {
+    ws.mask.CopyFrom(*adjacencies[s]);
+    for (std::size_t i = 0; i < h; ++i) ws.mask(i, i) = 1.0;  // self-loops
+    ws.hid_s.CopyRowsFrom(ws.hidden, s * h, (s + 1) * h);
+    ws.q_s.CopyRowsFrom(ws.query, s * h, (s + 1) * h);
+    // Same transpose + blocked-product kernels as the tape path, so the
+    // scores match the tape ops bit for bit.
+    Matrix::TransposeInto(ws.hid_s, ws.ht_s);
+    Matrix::MatMulInto(ws.q_s, ws.ht_s, ws.scores);
+    MaskedRowSoftmaxForward(ws.scores, ws.mask, ws.attn);
+    Matrix::MatMulInto(ws.attn, ws.hid_s, ws.e_s);
+    ApplyActivationInPlace(ws.e_s, FusedAct::kSigmoid);
+    std::copy(ws.e_s.flat().begin(), ws.e_s.flat().end(),
+              out.flat().begin() + static_cast<std::ptrdiff_t>(s * h * out_));
   }
-
-  ws.EnsureSlots(1);
-  InferenceScratch::Slot& slot = ws.slots.front();
-  LinearForward(u, w_.value, b_.value, FusedAct::kTanh, slot.hidden);
-  Matrix::MatMulInto(slot.hidden, wq_.value, slot.query);
-  run_block(0, k, slot, slot.hidden, slot.query, 0);
 }
 
 std::vector<Parameter*> GraphAttention::Parameters() {

@@ -17,7 +17,6 @@
 #include "nn/autograd.h"
 #include "nn/kernels.h"
 #include "nn/matrix.h"
-#include "nn/threading.h"
 
 namespace carol::nn {
 
@@ -163,32 +162,16 @@ class GraphAttention : public Module {
                      std::span<const Matrix* const> adjacencies);
   std::vector<Parameter*> Parameters() override;
 
-  // Recycled buffers for ForwardInferenceBatch. One Slot per pool thread
-  // (slot 0 doubles as the sequential path's scratch); a Slot is only
-  // ever touched by the thread whose index it carries, which is what
-  // keeps the threaded path race-free without any per-state locking.
+  // Recycled buffers for ForwardInferenceBatch.
   struct InferenceScratch {
-    struct Slot {
-      Matrix u_s, hidden, query, hid_s, ht_s, q_s, scores, mask, attn, e_s;
-    };
-    std::vector<Slot> slots;
-    // Grows (never shrinks) to at least `count` slots; existing slots
-    // keep their buffers. Call before a parallel region — growing the
-    // vector inside one would race.
-    void EnsureSlots(std::size_t count) {
-      if (slots.size() < count) slots.resize(count);
-    }
+    Matrix hidden, query, hid_s, ht_s, q_s, scores, mask, attn, e_s;
   };
   // Tape-free batched forward mirroring ForwardBatch; writes the stacked
   // embeddings [K*H x out] into `out`. Kernel-for-kernel identical to the
-  // tape path. With a `pool`, the K per-state attention blocks (and the
-  // shared projections, row-partitioned by state block) fan out across
-  // the pool's threads; results are bit-identical to the sequential path
-  // for any thread count (see src/nn/README.md).
+  // tape path.
   void ForwardInferenceBatch(const Matrix& u,
                              std::span<const Matrix* const> adjacencies,
-                             InferenceScratch& ws, Matrix& out,
-                             WorkerPool* pool = nullptr) const;
+                             InferenceScratch& ws, Matrix& out) const;
 
  private:
   std::size_t in_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -100,7 +101,9 @@ Matrix Matrix::Xavier(std::size_t fan_in, std::size_t fan_out,
 
 Matrix Matrix::FromFlat(std::size_t rows, std::size_t cols,
                         std::vector<double> flat) {
-  if (flat.size() != rows * cols) {
+  // rows * cols must not wrap: 2^32 x 2^32 would pass as 0 elements.
+  if ((cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) ||
+      flat.size() != rows * cols) {
     throw std::invalid_argument("FromFlat: buffer size mismatch");
   }
   Matrix m;

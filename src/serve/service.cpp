@@ -4,6 +4,7 @@
 #include <chrono>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <unordered_set>
@@ -209,16 +210,11 @@ ResilienceService::ResilienceService(const ServiceConfig& config)
   if (config_.num_workers < 1) {
     throw std::invalid_argument("ResilienceService: num_workers must be >= 1");
   }
-  // Per-replica attention threading. The master never runs the
-  // tape-free threaded scoring path (it only trains/fine-tunes/saves),
-  // so it gets no pool — only the replicas do. Thread count never
-  // changes values, so the mixed sizing is invisible to results.
-  if (config_.attention_threads > 1) {
-    config_.gon.attention_threads = config_.attention_threads;
+  if (config_.attention_threads != 1) {
+    throw std::invalid_argument(
+        "ResilienceService: attention_threads is retired and must be 1");
   }
-  core::GonConfig master_cfg = config_.gon;
-  master_cfg.attention_threads = 1;
-  master_ = std::make_unique<core::GonModel>(master_cfg);
+  master_ = std::make_unique<core::GonModel>(config_.gon);
   if (config_.observability) {
     // Shard 0 belongs to client/master threads, worker i to shard i+1.
     // Built (and fully registered) before any worker thread starts.
@@ -1113,7 +1109,9 @@ nn::Matrix ReadMatrix(common::BinaryReader& r) {
   const auto rows = static_cast<std::size_t>(r.U64());
   const auto cols = static_cast<std::size_t>(r.U64());
   std::vector<double> flat = r.Doubles();
-  if (flat.size() != rows * cols) {
+  // rows * cols must not wrap: 2^32 x 2^32 would pass as 0 elements.
+  if ((cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) ||
+      flat.size() != rows * cols) {
     throw common::BinaryFormatError("matrix element count mismatch");
   }
   return nn::Matrix::FromFlat(rows, cols, std::move(flat));
@@ -1151,7 +1149,7 @@ void WriteCarolConfig(common::BinaryWriter& w, const core::CarolConfig& c) {
   w.I32(c.gon.batch_size);
   w.U64(c.gon.seed);
   w.Bool(true);  // retired GonConfig::use_fast_path; byte kept for format
-  w.I32(c.gon.attention_threads);
+  w.I32(1);      // retired GonConfig::attention_threads; kept for format
   w.F64(c.pot.risk);
   w.F64(c.pot.init_quantile);
   w.U64(c.pot.min_calibration);
@@ -1189,8 +1187,8 @@ core::CarolConfig ReadCarolConfig(common::BinaryReader& r,
   c.gon.weight_decay = r.F64();
   c.gon.batch_size = r.I32();
   c.gon.seed = static_cast<unsigned>(r.U64());
-  r.Bool();  // retired byte, see WriteCarolConfig
-  c.gon.attention_threads = r.I32();
+  r.Bool();  // retired fields, see WriteCarolConfig
+  r.I32();
   c.pot.risk = r.F64();
   c.pot.init_quantile = r.F64();
   c.pot.min_calibration = static_cast<std::size_t>(r.U64());

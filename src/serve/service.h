@@ -130,15 +130,9 @@ struct ServiceConfig {
   core::GonConfig gon;
   // Worker shards. Each owns a GonModel replica and serves any session.
   int num_workers = 4;
-  // Per-replica attention threading for large federations (H >= 64):
-  // every worker's GON replica fans the per-state GAT attention of its
-  // batched scoring passes across this many threads. Overrides
-  // gon.attention_threads when > 1. The master gets NO pool — it only
-  // trains/fine-tunes/saves, which never runs the tape-free threaded
-  // path. Total compute threads is roughly num_workers *
-  // attention_threads — size the product to the machine. Decisions stay
-  // bit-identical for any value (threading partitions work, never
-  // arithmetic; see src/nn/README.md).
+  // Must be 1: every scoring pass runs on its worker's own thread, and
+  // any other value makes the constructor throw std::invalid_argument.
+  // The field stays only so callers that set it keep compiling.
   int attention_threads = 1;
   // Admission control (backpressure): maximum number of admitted-but-
   // unfinished requests — queued plus in flight, across all sessions.

@@ -391,37 +391,49 @@ class ReferenceGon {
   std::map<std::string, const Matrix*> params_;
 };
 
+// `count` states at `hosts` hosts with hosts / 4 brokers.
 std::vector<core::EncodedState> PerfStates(int count, int hosts = 8) {
   core::FeatureEncoder encoder;
   std::vector<core::EncodedState> states;
   states.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     states.push_back(encoder.Encode(
-        PerfSnapshot(hosts, 2, static_cast<unsigned>(100 + i))));
+        PerfSnapshot(hosts, hosts / 4, static_cast<unsigned>(100 + i))));
   }
   return states;
 }
 
+// Host counts for the stacked scoring checks: the paper's testbed scale
+// and the large-federation shapes where the O(H^2) attention dominates.
+constexpr int kScoringHostCounts[] = {8, 64, 128};
+
 TEST(GonBatchTest, DiscriminateBatchMatchesSequential) {
-  core::GonModel gon(PerfGonConfig());
-  const auto states = PerfStates(16);
-  const std::vector<double> batch = gon.DiscriminateBatch(
-      std::span<const core::EncodedState>(states));
-  ASSERT_EQ(batch.size(), states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    EXPECT_NEAR(batch[i], gon.Discriminate(states[i]), 1e-9) << "state " << i;
-    EXPECT_GT(batch[i], 0.0);
-    EXPECT_LT(batch[i], 1.0);
+  for (int hosts : kScoringHostCounts) {
+    SCOPED_TRACE("H=" + std::to_string(hosts));
+    core::GonModel gon(PerfGonConfig());
+    const auto states = PerfStates(16, hosts);
+    const std::vector<double> batch = gon.DiscriminateBatch(
+        std::span<const core::EncodedState>(states));
+    ASSERT_EQ(batch.size(), states.size());
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      EXPECT_NEAR(batch[i], gon.Discriminate(states[i]), 1e-9)
+          << "state " << i;
+      EXPECT_GT(batch[i], 0.0);
+      EXPECT_LT(batch[i], 1.0);
+    }
   }
 }
 
 TEST(GonBatchTest, FastPathMatchesSeedStylePath) {
   // Same weights; only the execution strategy differs.
-  core::GonModel fast(PerfGonConfig());
-  const ReferenceGon slow(fast);
-  const auto states = PerfStates(4);
-  for (const auto& state : states) {
-    EXPECT_NEAR(fast.Discriminate(state), slow.Discriminate(state), 1e-9);
+  for (int hosts : kScoringHostCounts) {
+    SCOPED_TRACE("H=" + std::to_string(hosts));
+    core::GonModel fast(PerfGonConfig());
+    const ReferenceGon slow(fast);
+    const auto states = PerfStates(4, hosts);
+    for (const auto& state : states) {
+      EXPECT_NEAR(fast.Discriminate(state), slow.Discriminate(state), 1e-9);
+    }
   }
 }
 

@@ -157,6 +157,9 @@ TEST(MatrixTest, XavierWithinLimit) {
 
 TEST(MatrixTest, FromFlatChecksSize) {
   EXPECT_THROW(Matrix::FromFlat(2, 2, {1.0, 2.0}), std::invalid_argument);
+  // 2^32 * 2^32 wraps to 0 in size_t; an empty buffer must not pass.
+  EXPECT_THROW(Matrix::FromFlat(1ull << 32, 1ull << 32, {}),
+               std::invalid_argument);
   Matrix m = Matrix::FromFlat(2, 2, {1, 2, 3, 4});
   EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
 }

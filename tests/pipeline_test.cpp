@@ -427,12 +427,12 @@ TEST(RepairJobTest, InterleavedJobsMatchSoloRuns) {
 }
 
 TEST(RepairJobTest, LargeFederationRepairMatchesSingleModelPath) {
-  // H=64 end-to-end: a step-driven RepairJob scored by a THREADED GON
-  // (4 attention threads) must reproduce the reference pre-refactor
-  // repair loop scored by a sequential GON with the same seed, exactly.
-  // This chains every piece of the large-H hot path — incremental-hash
-  // tabu filtering, move-record enumeration, stacked generation scoring
-  // and threaded attention — against the single-model reference.
+  // H=64 end-to-end: a step-driven RepairJob scored by one GON must
+  // reproduce the reference pre-refactor repair loop scored by a second
+  // GON with the same seed, exactly. This chains every piece of the
+  // large-H hot path — incremental-hash tabu filtering, move-record
+  // enumeration and stacked generation scoring — against the
+  // single-model reference.
   CarolConfig config;
   config.gon.hidden_width = 12;
   config.gon.num_layers = 2;
@@ -444,24 +444,22 @@ TEST(RepairJobTest, LargeFederationRepairMatchesSingleModelPath) {
   const std::vector<sim::NodeId> failed = {0};
   const sim::SystemSnapshot snap = MakeFailureSnapshot(64, 16, failed);
 
-  GonConfig threaded_cfg = config.gon;
-  threaded_cfg.attention_threads = 4;
-  GonModel threaded_gon(threaded_cfg);
-  GonModel sequential_gon(config.gon);  // same seed => same weights
+  GonModel job_gon(config.gon);
+  GonModel reference_gon(config.gon);  // same seed => same weights
   FeatureEncoder encoder;
 
   common::Rng reference_rng(config.seed);
   const sim::Topology expected = ReferencePlanRepair(
       snap.topology, failed, snap, config, reference_rng,
       [&](const std::vector<sim::Topology>& frontier) {
-        return ScoreTopologiesWith(sequential_gon, encoder, config.alpha,
+        return ScoreTopologiesWith(reference_gon, encoder, config.alpha,
                                    config.beta, frontier, snap);
       });
 
   common::Rng job_rng(config.seed);
   RepairJob job(snap.topology, failed, snap, config, &job_rng);
   while (!job.done()) {
-    job.Advance(ScoreTopologiesWith(threaded_gon, encoder, config.alpha,
+    job.Advance(ScoreTopologiesWith(job_gon, encoder, config.alpha,
                                     config.beta, job.ProposeFrontier(),
                                     snap));
   }

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -412,23 +413,15 @@ TEST(ServeTest, BusySessionDoesNotStarveOtherTenants) {
   EXPECT_EQ(completed.load(), 18);
 }
 
-TEST(ServeTest, ThreadedAttentionKeepsSessionsBitIdentical) {
-  // attention_threads > 1 threads every replica's scoring kernels; the
-  // session's decisions and confidences must STILL match the sequential
-  // single-model reference exactly.
-  core::CarolConfig cfg = TinyCarolConfig(77);
-  cfg.policy = core::FineTunePolicy::kNever;
-  core::CarolModel reference(cfg);
-  const Episode expected = DriveCarol(reference, 12, 3, 5);
-
-  ServiceConfig service_cfg = TinyServiceConfig(2);
-  service_cfg.attention_threads = 3;
-  ResilienceService service(service_cfg);
-  FederationSpec spec;
-  spec.carol = cfg;
-  const SessionId id = service.OpenSession(spec);
-  const Episode actual = DriveSession(service, id, 12, 3, 5);
-  ExpectEpisodesIdentical(expected, actual);
+TEST(ServeTest, RetiredAttentionThreadsMustBeOne) {
+  // attention_threads stays only so callers that set it compile; any
+  // value but 1 is rejected.
+  for (int threads : {0, 2, 4}) {
+    ServiceConfig service_cfg = TinyServiceConfig(1);
+    service_cfg.attention_threads = threads;
+    EXPECT_THROW(ResilienceService{service_cfg}, std::invalid_argument)
+        << "attention_threads = " << threads;
+  }
 }
 
 // --- admission control ---------------------------------------------------

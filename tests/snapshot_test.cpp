@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -528,6 +530,43 @@ TEST(ServiceSnapshotTest, RestoreRejectsCorruptImage) {
   bad_policy[diffs[0]] = 7;
   std::stringstream patched(bad_policy, std::ios::in | std::ios::binary);
   EXPECT_THROW(ResilienceService(cfg, patched), common::BinaryFormatError);
+
+  // A matrix header whose rows * cols wraps to 0 must not restore as a
+  // storage-less matrix. One healthy Observe leaves one Gamma entry, and
+  // its 16 x 9 metrics matrix is the image's only (16, 9, 144) header;
+  // rewrite it to (2^32, 2^32, 0) and drop its payload.
+  std::string gamma_image;
+  {
+    ResilienceService service(cfg);
+    FederationSpec spec;
+    spec.carol = TinyCarolConfig();
+    const SessionId id = service.OpenSession(spec);
+    ObserveRequest obs;
+    obs.snapshot = MakeSnapshot(0.5, 16, 4);
+    service.Observe(id, obs);
+    service.BeginDrain();
+    service.WaitDrained();
+    std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
+    service.SaveSnapshot(image);
+    gamma_image = image.str();
+  }
+  auto u64s = [](std::initializer_list<std::uint64_t> values) {
+    std::stringstream out(std::ios::out | std::ios::binary);
+    common::BinaryWriter w(out);
+    for (std::uint64_t v : values) w.U64(v);
+    return out.str();
+  };
+  const std::string m_header = u64s({16, 9, 144});
+  const std::size_t at = gamma_image.find(m_header);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(gamma_image.find(m_header, at + 1), std::string::npos);
+  const std::string wrapped = gamma_image.substr(0, at) +
+                              u64s({1ull << 32, 1ull << 32, 0}) +
+                              gamma_image.substr(at + m_header.size() +
+                                                 144 * sizeof(double));
+  std::stringstream wrapped_image(wrapped, std::ios::in | std::ios::binary);
+  EXPECT_THROW(ResilienceService(cfg, wrapped_image),
+               common::BinaryFormatError);
 }
 
 }  // namespace
