@@ -1,15 +1,13 @@
 // Fleet-scale stepping benchmark: ns/interval of the shared
 // simkern::IntervalStepper protocol as the federation grows from the
 // paper's H=16..128 testbeds to the H=512/4096 large-fleet tier.
+// Federation::RunInterval always steps event-driven (O(changed)), so
+// the stepping rows have no same-process baseline; CI checks how they
+// scale with H instead.
 //
-// Three families of rows land in BENCH_fleet.json:
-//   * fleet_step_legacy  — H=128, dense engine + per-interval snapshot,
-//     eager WorkloadGenerator: the shape of the pre-simkern serving path.
-//     This is the CI tripwire baseline.
-//   * fleet_step_sparse  — H in {128, 512, 4096}, event-driven engine,
-//     open-loop ArrivalProcess at the SAME total arrival rate, no
-//     snapshot. `baseline` is the dense engine at the same H with the
-//     same workload, i.e. what the pre-PR code would have charged.
+// These families of rows land in BENCH_fleet.json:
+//   * fleet_step_sparse  — H in {128, 512, 4096}, open-loop
+//     ArrivalProcess at the SAME total arrival rate, no snapshot.
 //   * fleet_step_sparse_dirty — H=4096 while a rotating fault-load window
 //     dirties a fraction of the fleet every interval (0.1%..100%): the
 //     dirty-fraction sensitivity curve of O(changed) stepping.
@@ -42,7 +40,6 @@
 #include "sim/types.h"
 #include "simkern/stepper.h"
 #include "workload/arrival.h"
-#include "workload/generator.h"
 #include "workload/profiles.h"
 
 namespace {
@@ -71,23 +68,14 @@ std::vector<BenchResult>& Results() {
   return results;
 }
 
-void Report(const std::string& op, const std::string& shape, double fast_ns,
-            double baseline_ns = 0.0) {
+void Report(const std::string& op, const std::string& shape, double ns) {
   BenchResult r;
   r.op = op;
   r.shape = shape;
-  r.ns_per_op = fast_ns;
-  r.baseline_ns_per_op = baseline_ns;
-  r.speedup = baseline_ns > 0.0 ? baseline_ns / fast_ns : 0.0;
+  r.ns_per_op = ns;
   Results().push_back(r);
-  if (baseline_ns > 0.0) {
-    std::printf(
-        "%-28s %-22s %12.0f ns/interval  dense %12.0f ns/interval  %6.2fx\n",
-        op.c_str(), shape.c_str(), fast_ns, baseline_ns, r.speedup);
-  } else {
-    std::printf("%-28s %-22s %12.0f ns/interval\n", op.c_str(), shape.c_str(),
-                fast_ns);
-  }
+  std::printf("%-28s %-22s %12.0f ns/interval\n", op.c_str(), shape.c_str(),
+              ns);
 }
 
 void WriteJson(const char* path) {
@@ -111,12 +99,11 @@ void WriteJson(const char* path) {
   std::printf("\nwrote %s (%zu entries)\n", path, rs.size());
 }
 
-// Minimal protocol hooks: arrivals from either workload source, optional
-// rotating fault-load churn, snapshot policy — nothing else. No repair
-// model in the loop (static topology, like an incident-free run).
+// Minimal protocol hooks: open-loop arrivals, optional rotating
+// fault-load churn, snapshot policy — nothing else. No repair model in
+// the loop (static topology, like an incident-free run).
 class StepBenchHooks : public simkern::IntervalHooks {
  public:
-  workload::WorkloadGenerator* eager = nullptr;
   workload::ArrivalProcess* open_loop = nullptr;
   bool want_snapshot = true;
   int churn_hosts = 0;  // hosts dirtied per interval (rotating window)
@@ -135,11 +122,8 @@ class StepBenchHooks : public simkern::IntervalHooks {
   }
 
   std::vector<sim::Task> GenerateArrivals(simkern::StepContext& ctx) override {
-    if (open_loop != nullptr) {
-      return open_loop->Drain(ctx.fed->now_s() +
-                              ctx.fed->config().interval_seconds);
-    }
-    return eager->Generate(ctx.interval, ctx.fed->now_s());
+    return open_loop->Drain(ctx.fed->now_s() +
+                            ctx.fed->config().interval_seconds);
   }
 
   void Observe(simkern::StepContext& ctx,
@@ -160,9 +144,6 @@ class StepBenchHooks : public simkern::IntervalHooks {
 
 struct CaseSpec {
   int hosts = 128;
-  bool sparse = false;
-  bool snapshot = true;
-  bool eager_workload = false;
   double dirty_frac = 0.0;
 };
 
@@ -174,19 +155,12 @@ double RunCase(const CaseSpec& c, int intervals, int reps) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
     sim::SimConfig cfg;
-    cfg.event_driven = c.sparse;
     cfg.network.num_sites = kSites;
     sim::Federation fed(sim::ScaledTestbedSpecs(c.hosts),
                         sim::Topology::Initial(c.hosts, c.hosts / 16), cfg,
                         common::Rng(42));
     sim::LeastUtilizationScheduler scheduler;
 
-    workload::WorkloadConfig wl;
-    wl.lambda_per_site = kLambdaPerSite;
-    wl.num_sites = kSites;
-    wl.non_stationary = false;  // stationary: identical mean load per case
-    workload::WorkloadGenerator eager(workload::AIoTBenchProfiles(), wl,
-                                      common::Rng(7));
     workload::ArrivalConfig acfg;
     acfg.rate_per_second =
         kLambdaPerSite * kSites / cfg.interval_seconds;
@@ -195,14 +169,10 @@ double RunCase(const CaseSpec& c, int intervals, int reps) {
                                        common::Rng(7));
 
     StepBenchHooks hooks;
-    hooks.want_snapshot = c.snapshot;
+    hooks.open_loop = &open_loop;
+    hooks.want_snapshot = false;
     hooks.fleet_size = c.hosts;
     hooks.churn_hosts = static_cast<int>(c.dirty_frac * c.hosts);
-    if (c.eager_workload) {
-      hooks.eager = &eager;
-    } else {
-      hooks.open_loop = &open_loop;
-    }
 
     simkern::IntervalStepper stepper(fed, scheduler, hooks);
     // Untimed warmup: the first steps of a fresh federation pay first-touch
@@ -248,7 +218,6 @@ double RunScopedRepairCase(int hosts, int reps) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
     sim::SimConfig sim_cfg;
-    sim_cfg.event_driven = true;
     sim_cfg.network.num_sites = std::max(4, hosts / 64);
     sim::Federation fed(sim::ScaledTestbedSpecs(hosts),
                         sim::Topology::Initial(hosts, hosts / 16), sim_cfg,
@@ -362,7 +331,6 @@ std::pair<long long, long long> RunQosTwin(int hosts, int intervals) {
   for (int variant = 0; variant < 2; ++variant) {
     const bool use_gon = variant == 0;
     sim::SimConfig cfg;
-    cfg.event_driven = true;
     cfg.network.num_sites = std::max(4, hosts / 64);
     sim::Federation fed(sim::ScaledTestbedSpecs(hosts),
                         sim::Topology::Initial(hosts, hosts / 16), cfg,
@@ -387,53 +355,34 @@ int main() {
   const bool fast = bench::FastMode();
   const int intervals = bench::EnvInt("CAROL_BENCH_INTERVALS", fast ? 20 : 120);
   const int reps = bench::EnvInt("CAROL_BENCH_SEEDS", fast ? 2 : 3);
-  // Sparse steps are microseconds; time many more of them so the rows the
-  // CI tripwire compares are steady-state, not startup jitter. Dense steps
-  // at H=4096 approach a millisecond — those keep the small budget.
+  // Quiet steps are microseconds; time many more of them so the rows the
+  // CI tripwire compares are steady-state, not startup jitter. Steps with
+  // most of an H=4096 fleet dirty approach a millisecond — those keep the
+  // small budget.
   const int cheap_intervals = intervals * 10;
 
   bench::PrintBanner(
-      "Fleet-scale stepping — shared IntervalStepper protocol, ns/interval "
-      "(speedup = dense/sparse at the same H)");
+      "Fleet-scale stepping — shared IntervalStepper protocol, ns/interval");
 
-  // Tripwire baseline: the pre-simkern serving shape at the old top tier.
-  const double legacy128 =
-      RunCase({.hosts = 128, .sparse = false, .snapshot = true,
-               .eager_workload = true},
-              cheap_intervals, reps);
-  Report("fleet_step_legacy", "H=128", legacy128);
-
-  // ns/interval vs H, sparse engine vs its dense twin at the same H.
+  // ns/interval vs H at a matched arrival rate.
   for (int hosts : {128, 512, 4096}) {
-    const int dense_intervals =
-        hosts >= 4096 ? std::max(5, intervals / 4) : intervals;
-    const double dense =
-        RunCase({.hosts = hosts, .sparse = false, .snapshot = true},
-                dense_intervals, reps);
-    const double sparse =
-        RunCase({.hosts = hosts, .sparse = true, .snapshot = false},
-                cheap_intervals, reps);
-    Report("fleet_step_sparse", "H=" + std::to_string(hosts), sparse, dense);
+    const double ns = RunCase({.hosts = hosts}, cheap_intervals, reps);
+    Report("fleet_step_sparse", "H=" + std::to_string(hosts), ns);
   }
 
   // Dirty-fraction sensitivity at the top tier: how O(changed) degrades
-  // toward dense as the changed set grows to the whole fleet.
+  // toward dense-shaped work as the changed set grows to the whole fleet.
   {
     const int hosts = 4096;
-    const double dense =
-        RunCase({.hosts = hosts, .sparse = false, .snapshot = true},
-                std::max(5, intervals / 4), reps);
     for (double df : {0.001, 0.01, 0.1, 1.0}) {
       const int df_intervals = df >= 1.0 ? std::max(5, intervals / 4)
                                          : df >= 0.1 ? intervals
                                                      : cheap_intervals;
       const double ns =
-          RunCase({.hosts = hosts, .sparse = true, .snapshot = false,
-                   .dirty_frac = df},
-                  df_intervals, reps);
+          RunCase({.hosts = hosts, .dirty_frac = df}, df_intervals, reps);
       char shape[48];
       std::snprintf(shape, sizeof shape, "H=4096 df=%g", df);
-      Report("fleet_step_sparse_dirty", shape, ns, dense);
+      Report("fleet_step_sparse_dirty", shape, ns);
     }
   }
 

@@ -136,7 +136,7 @@ int main() {
     cards.push_back(card);
   }
   // The large-fleet tier: the same broker storm rescaled to H=512 —
-  // event-driven stepping, scoped (subgraph-extracted) GON repair — as
+  // scoped (subgraph-extracted) GON repair on the event-driven sim — as
   // one extra row ("broker-storm-h512") after the builtin library. Its
   // fingerprint obeys the same worker-count independence the CI diff
   // gates: scoped decisions ride the same deterministic pipeline.

@@ -1,9 +1,9 @@
 // Scenario: a MASSIVE fleet — one 4096-host federation (256 brokers,
-// 64 geographic sites) stepped through the shared simkern protocol with
-// the event-driven engine, an open-loop million-device arrival stream,
-// and a broker fault storm repaired by the REAL decision path: a
-// subgraph-extracted GON/tabu repair (core::PlanScopedDecision) planning
-// on the affected region only.
+// 64 geographic sites) stepped through the shared simkern protocol
+// (whose RunInterval always steps event-driven), an open-loop
+// million-device arrival stream, and a broker fault storm repaired by
+// the REAL decision path: a subgraph-extracted GON/tabu repair
+// (core::PlanScopedDecision) planning on the affected region only.
 //
 // What this demonstrates (and what CI smoke-checks):
 //   * the large-fleet tier is usable end to end: H=4096 steps in
@@ -150,7 +150,6 @@ class MassiveFleetHooks : public simkern::IntervalHooks {
 
 RunOutcome RunOnce() {
   sim::SimConfig cfg;
-  cfg.event_driven = true;
   cfg.network.num_sites = kSites;
   sim::Federation fed(sim::ScaledTestbedSpecs(kHosts),
                       sim::Topology::Initial(kHosts, kBrokers), cfg,

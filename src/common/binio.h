@@ -13,6 +13,7 @@
 #ifndef CAROL_COMMON_BINIO_H_
 #define CAROL_COMMON_BINIO_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -107,29 +108,19 @@ class BinaryReader {
   double F64() { return std::bit_cast<double>(Fixed<std::uint64_t>()); }
 
   std::string String() {
-    const std::uint64_t n = BoundedCount(U64());
-    std::string s(static_cast<std::size_t>(n), '\0');
-    Raw(s.data(), s.size());
-    return s;
+    return Sequence<std::string>(
+        [this] { return static_cast<char>(U8()); });
   }
   std::vector<double> Doubles() {
-    const std::uint64_t n = BoundedCount(U64());
-    std::vector<double> values(static_cast<std::size_t>(n));
-    for (double& v : values) v = F64();
-    return values;
+    return Sequence<std::vector<double>>([this] { return F64(); });
   }
   template <typename Int>
   std::vector<Int> Ints() {
-    const std::uint64_t n = BoundedCount(U64());
-    std::vector<Int> values(static_cast<std::size_t>(n));
-    for (Int& v : values) v = static_cast<Int>(I64());
-    return values;
+    return Sequence<std::vector<Int>>(
+        [this] { return static_cast<Int>(I64()); });
   }
   std::vector<bool> Bools() {
-    const std::uint64_t n = BoundedCount(U64());
-    std::vector<bool> values(static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < values.size(); ++i) values[i] = Bool();
-    return values;
+    return Sequence<std::vector<bool>>([this] { return Bool(); });
   }
 
   // Reads a section header; throws BinaryFormatError unless the tag
@@ -166,14 +157,31 @@ class BinaryReader {
       throw BinaryFormatError("truncated input");
     }
   }
-  // Sanity bound on length prefixes so a corrupt count cannot drive a
-  // multi-gigabyte allocation before the truncation check trips.
+  // Sanity bound on length prefixes.
   static std::uint64_t BoundedCount(std::uint64_t n) {
     if (n > (1ull << 32)) {
       throw BinaryFormatError("implausible element count " +
                               std::to_string(n));
     }
     return n;
+  }
+  // Reads a length-prefixed sequence. The buffer grows 64 Ki elements at
+  // a time as elements arrive, so a corrupt count hits the truncation
+  // check after at most one chunk instead of allocating the whole
+  // claimed size first.
+  template <typename Seq, typename ReadOne>
+  Seq Sequence(ReadOne read_one) {
+    const std::uint64_t n = BoundedCount(U64());
+    Seq values;
+    while (values.size() < n) {
+      const std::size_t start = values.size();
+      values.resize(static_cast<std::size_t>(
+          std::min<std::uint64_t>(n, start + (1ull << 16))));
+      for (std::size_t i = start; i < values.size(); ++i) {
+        values[i] = read_one();
+      }
+    }
+    return values;
   }
 
   std::istream* in_;

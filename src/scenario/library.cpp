@@ -200,9 +200,7 @@ void RescaleScenario(ScenarioSpec& spec, int num_nodes) {
   // H >= 256); the floor of 4 keeps every library phase's site targets
   // (0..3) valid.
   spec.sim.network.num_sites = std::max(4, nodes / 64);
-  // The large-fleet kernel regime: O(changed) event-driven stepping and
-  // subgraph-extracted repair.
-  spec.sim.event_driven = true;
+  // The large-fleet decision regime: subgraph-extracted repair.
   spec.scoped_repair = true;
   spec.name += "-h" + std::to_string(nodes);
 }

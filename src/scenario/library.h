@@ -27,10 +27,9 @@ std::optional<ScenarioSpec> FindScenario(const std::string& name,
 // Rescales a spec to a large fleet: every fleet gets ~`num_nodes` hosts
 // (snapped by sim::RoundedFleetSize, brokers at num_nodes/16), the WAN
 // grows to max(4, num_nodes/64) sites (phase site targets 0..3 stay
-// valid), the sim kernel switches to event-driven stepping and the
-// driver to scoped (subgraph-extracted) repair — the configuration the
-// H in {512, 4096} rows of bench/scenario_suite and bench/fleet_scale
-// run. The name gains a "-h<N>" suffix.
+// valid) and the driver switches to scoped (subgraph-extracted) repair —
+// the configuration the H in {512, 4096} rows of bench/scenario_suite
+// and bench/fleet_scale run. The name gains a "-h<N>" suffix.
 void RescaleScenario(ScenarioSpec& spec, int num_nodes);
 
 }  // namespace carol::scenario

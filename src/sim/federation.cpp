@@ -1,8 +1,6 @@
 #include "sim/federation.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -46,8 +44,8 @@ Federation::Federation(std::vector<NodeSpec> specs, Topology topology,
   quiet_power_w_.assign(h_count, 0.0);
   quiet_power_tree_.Reset(h_count);
   engaged_.Reset(h_count);
-  // Every row starts default-initialized, so the first event-driven
-  // interval must rewrite all of them.
+  // Every row starts default-initialized, so the first interval must
+  // rewrite all of them.
   engaged_prev_.resize(h_count);
   for (std::size_t i = 0; i < h_count; ++i) {
     engaged_prev_[i] = static_cast<NodeId>(i);
@@ -82,7 +80,7 @@ double Federation::QuietPowerW(NodeId node) const {
   if (!topology_.is_broker(node)) {
     return h.spec.idle_power_w * config_.standby_power_frac;
   }
-  // Same expression chain as the dense per-segment power block with
+  // Same expression chain as RunSegments' per-segment power block with
   // zero task load, zero contention: cpu ratio = overhead / capacity.
   const double overhead = BrokerOverheadMips(node);
   const double ratio = (0.0 + overhead) / h.spec.cpu_capacity_mips;
@@ -401,102 +399,6 @@ void Federation::ApplyPlacement(const SchedulingDecision& decision,
   result->stranded = static_cast<int>(queued_.size());
 }
 
-std::vector<double> Federation::ComputeRates(
-    double t, const std::vector<std::size_t>& active,
-    std::vector<double>* host_cpu_ratio, std::vector<double>* host_ram_ratio,
-    std::vector<double>* host_disk_ratio,
-    std::vector<double>* host_net_ratio) const {
-  const std::size_t h_count = hosts_.size();
-  std::vector<double> task_cpu(h_count, 0.0), ram(h_count, 0.0),
-      disk(h_count, 0.0), net(h_count, 0.0);
-
-  auto runnable = [&](const Task& task) {
-    if (task.assigned_host == kNoNode) return false;
-    const auto hidx = static_cast<std::size_t>(task.assigned_host);
-    const HostRuntime& h = hosts_[hidx];
-    if (h.FailedAt(t) || t < h.reconfig_until_s) return false;
-    if (t < task.placed_time_s + task.startup_delay_s) return false;
-    // A failed broker stalls its whole LEI (the motivating failure mode).
-    const NodeId broker = topology_.broker_of(task.assigned_host);
-    if (hosts_[static_cast<std::size_t>(broker)].FailedAt(t)) return false;
-    // A network partition between a worker and its broker stalls the
-    // worker's tasks the same way: the broker cannot manage containers
-    // across a severed link.
-    if (!network_.SiteReachable(network_.site_of(task.assigned_host),
-                                broker)) {
-      return false;
-    }
-    return true;
-  };
-
-  std::vector<char> task_runnable(active.size(), 0);
-  std::vector<int> lei_tasks(h_count, 0);  // active tasks per broker
-  for (std::size_t k = 0; k < active.size(); ++k) {
-    const Task& task = tasks_[active[k]];
-    if (!runnable(task)) continue;
-    task_runnable[k] = 1;
-    const auto hidx = static_cast<std::size_t>(task.assigned_host);
-    task_cpu[hidx] += task.mips_demand;
-    ram[hidx] += task.ram_mb;
-    disk[hidx] += task.disk_mbps;
-    net[hidx] += task.net_mbps;
-    ++lei_tasks[static_cast<std::size_t>(
-        topology_.broker_of(task.assigned_host))];
-  }
-
-  host_cpu_ratio->assign(h_count, 0.0);
-  host_ram_ratio->assign(h_count, 0.0);
-  host_disk_ratio->assign(h_count, 0.0);
-  host_net_ratio->assign(h_count, 0.0);
-  std::vector<double> share(h_count, 1.0), slow(h_count, 1.0);
-  std::vector<double> broker_ratio(h_count, 0.0);
-  for (std::size_t i = 0; i < h_count; ++i) {
-    const HostRuntime& h = hosts_[i];
-    const NodeId node = static_cast<NodeId>(i);
-    double overhead = 0.0;
-    if (topology_.is_broker(node)) {
-      // Static management cost plus the per-task cost of every container
-      // the broker currently manages in its LEI.
-      overhead = BrokerOverheadMips(node) +
-                 h.spec.cpu_capacity_mips *
-                     config_.broker_per_task_overhead_frac *
-                     static_cast<double>(lei_tasks[i]);
-      broker_ratio[i] = (overhead + h.fault_cpu_mips + task_cpu[i]) /
-                        h.spec.cpu_capacity_mips;
-    }
-    const double cap_total = h.spec.cpu_capacity_mips;
-    const double cap_tasks = std::max(1.0, cap_total - overhead);
-    const double contended = task_cpu[i] + h.fault_cpu_mips;
-    (*host_cpu_ratio)[i] = (contended + overhead) / cap_total;
-    (*host_ram_ratio)[i] = (ram[i] + h.fault_ram_mb) / h.spec.ram_mb;
-    (*host_disk_ratio)[i] =
-        (disk[i] + h.fault_disk_mbps) / h.spec.disk_bw_mbps;
-    (*host_net_ratio)[i] = (net[i] + h.fault_net_mbps) / h.spec.net_bw_mbps;
-    share[i] = contended > cap_tasks ? cap_tasks / contended : 1.0;
-    double s = 1.0;
-    if ((*host_ram_ratio)[i] > 1.0) s *= config_.ram_thrash_slowdown;
-    if ((*host_disk_ratio)[i] > 1.0) s /= (*host_disk_ratio)[i];
-    if ((*host_net_ratio)[i] > 1.0) s /= (*host_net_ratio)[i];
-    slow[i] = s;
-  }
-
-  std::vector<double> rates(active.size(), 0.0);
-  for (std::size_t k = 0; k < active.size(); ++k) {
-    if (!task_runnable[k]) continue;
-    const Task& task = tasks_[active[k]];
-    const auto hidx = static_cast<std::size_t>(task.assigned_host);
-    // A saturated broker throttles scheduling/result delivery for its
-    // whole LEI — the broker-bottleneck effect that motivates broker
-    // resilience in the first place.
-    const auto bidx =
-        static_cast<std::size_t>(topology_.broker_of(task.assigned_host));
-    const double broker_slow =
-        broker_ratio[bidx] > 1.0 ? 1.0 / broker_ratio[bidx] : 1.0;
-    rates[k] = task.mips_demand * share[hidx] * slow[hidx] * broker_slow;
-  }
-  return rates;
-}
-
 IntervalResult Federation::RunInterval(const SchedulingDecision& decision,
                                        bool build_snapshot) {
   const double t0 = now_s_;
@@ -538,11 +440,7 @@ IntervalResult Federation::RunInterval(const SchedulingDecision& decision,
     add_bp(task.placed_time_s + task.startup_delay_s);
   }
 
-  if (config_.event_driven) {
-    RunSegmentsSparse(t0, t1, breakset, &result);
-  } else {
-    RunSegmentsDense(t0, t1, breakset, &result);
-  }
+  RunSegments(t0, t1, breakset, &result);
 
   now_s_ = t1;
   ++interval_;
@@ -571,152 +469,11 @@ IntervalResult Federation::RunInterval(const SchedulingDecision& decision,
   return result;
 }
 
-// The legacy dense engine: every per-segment loop walks all H hosts, in
-// the exact order of the pre-simkern RunInterval. This path is pinned
-// bit-for-bit by the golden digests in tests/simkern_test.cpp — do not
-// reorder any floating-point accumulation in here.
-void Federation::RunSegmentsDense(double t0, double t1,
-                                  const std::set<double>& breakset,
-                                  IntervalResult* out) {
-  IntervalResult& result = *out;
-  const std::size_t h_count = hosts_.size();
-  std::vector<double> cpu_integral(h_count, 0.0), ram_integral(h_count, 0.0),
-      disk_integral(h_count, 0.0), net_integral(h_count, 0.0),
-      energy_j(h_count, 0.0);
-  std::vector<int> host_completed(h_count, 0), host_violated(h_count, 0);
-
-  double t = t0;
-  while (t < t1 - kEps) {
-    const double seg_end = *breakset.upper_bound(t + kEps);
-    std::vector<double> cpu_r, ram_r, disk_r, net_r;
-    const std::vector<double> rates =
-        ComputeRates(t, active_, &cpu_r, &ram_r, &disk_r, &net_r);
-
-    // Earliest completion inside this segment.
-    double t_next = seg_end;
-    for (std::size_t k = 0; k < active_.size(); ++k) {
-      if (rates[k] > kEps) {
-        const double eta = tasks_[active_[k]].remaining_mi / rates[k];
-        t_next = std::min(t_next, t + eta);
-      }
-    }
-    t_next = std::min(std::max(t_next, t + kEps), seg_end);
-    const double dt = t_next - t;
-
-    // Integrate utilization and energy over [t, t_next).
-    for (std::size_t i = 0; i < h_count; ++i) {
-      const HostRuntime& h = hosts_[i];
-      cpu_integral[i] += cpu_r[i] * dt;
-      ram_integral[i] += ram_r[i] * dt;
-      disk_integral[i] += disk_r[i] * dt;
-      net_integral[i] += net_r[i] * dt;
-      double power = 0.0;
-      if (h.FailedAt(t)) {
-        power = h.spec.idle_power_w;  // hung or rebooting
-      } else if (cpu_r[i] <= kEps &&
-                 !topology_.is_broker(static_cast<NodeId>(i))) {
-        power = h.spec.idle_power_w * config_.standby_power_frac;
-      } else {
-        power = h.spec.idle_power_w +
-                (h.spec.peak_power_w - h.spec.idle_power_w) *
-                    std::min(1.0, cpu_r[i]);
-      }
-      energy_j[i] += power * dt;
-    }
-
-    // Advance progress; collect completions. Erasure is deferred so the
-    // `rates` indices stay aligned with `active_` during the sweep.
-    for (std::size_t k = 0; k < active_.size(); ++k) {
-      Task& task = tasks_[active_[k]];
-      if (rates[k] <= kEps) continue;
-      task.remaining_mi -= rates[k] * dt;
-      if (task.remaining_mi > kMiEps) continue;
-      task.remaining_mi = 0.0;
-      task.finish_time_s = t_next;
-      const NodeId hostid = task.assigned_host;
-      const auto hidx = static_cast<std::size_t>(hostid);
-      const double out_transfer =
-          task.output_mb / std::max(1.0, hosts_[hidx].spec.net_bw_mbps);
-      const double out_latency =
-          2.0 * (network_.LatencyBetween(hostid, task.broker) +
-                 network_.LatencyFromSite(task.gateway_site, task.broker));
-      const double response = task.finish_time_s - task.arrival_time_s +
-                              out_transfer + out_latency;
-      result.response_times.push_back(response);
-      result.response_app_types.push_back(task.app_type);
-      result.response_deadlines.push_back(task.slo_deadline_s);
-      ++result.completed;
-      ++host_completed[hidx];
-      --resident_tasks_[hidx];
-      if (response > task.slo_deadline_s) {
-        ++result.violated;
-        ++host_violated[hidx];
-      }
-    }
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [this](std::size_t idx) {
-                                   return tasks_[idx].finished();
-                                 }),
-                  active_.end());
-
-    t = t_next;
-  }
-
-  // Interval accounting.
-  const double interval_kwh =
-      std::accumulate(energy_j.begin(), energy_j.end(), 0.0) / 3.6e6;
-  total_energy_kwh_ += interval_kwh;
-  result.energy_kwh = interval_kwh;
-
-  // Per-host metric rows (this becomes M_t).
-  const double inv_dt = 1.0 / config_.interval_seconds;
-  for (std::size_t i = 0; i < h_count; ++i) {
-    HostRuntime& h = hosts_[i];
-    HostMetricsRow& m = h.metrics;
-    m = HostMetricsRow{};
-    m.cpu_util = cpu_integral[i] * inv_dt;
-    m.ram_util = ram_integral[i] * inv_dt;
-    m.disk_util = disk_integral[i] * inv_dt;
-    m.net_util = net_integral[i] * inv_dt;
-    m.energy_kwh = energy_j[i] / 3.6e6;
-    m.slo_violation_rate =
-        host_completed[i] > 0
-            ? static_cast<double>(host_violated[i]) / host_completed[i]
-            : 0.0;
-    m.is_broker = topology_.is_broker(static_cast<NodeId>(i));
-    m.failed = h.FailedAt(t1 - kEps);
-  }
-  for (std::size_t idx : active_) {
-    const Task& task = tasks_[idx];
-    const auto hidx = static_cast<std::size_t>(task.assigned_host);
-    HostMetricsRow& m = hosts_[hidx].metrics;
-    m.task_cpu_demand_mips += task.mips_demand;
-    m.task_ram_demand_mb += task.ram_mb;
-    m.avg_deadline_s += task.slo_deadline_s;
-  }
-  for (std::size_t i = 0; i < h_count; ++i) {
-    HostMetricsRow& m = hosts_[i].metrics;
-    // resident_tasks_ equals the ActiveTasksOn(i).size() the legacy code
-    // scanned for — an integer, so the division is value-identical.
-    const int n = resident_tasks_[i];
-    if (n > 0) m.avg_deadline_s /= static_cast<double>(n);
-  }
-  for (std::size_t idx : active_) {
-    const Task& task = tasks_[idx];
-    if (task.placed_time_s == t0) {
-      const auto hidx = static_cast<std::size_t>(task.assigned_host);
-      hosts_[hidx].metrics.sched_cpu_demand_mips += task.mips_demand;
-      hosts_[hidx].metrics.sched_task_count += 1.0;
-    }
-  }
-}
-
-void Federation::ComputeRatesSparse(double t,
-                                    const std::vector<std::size_t>& active,
-                                    const std::vector<int>& engaged) {
-  // Identical formulas to ComputeRates, evaluated only on engaged slots.
+void Federation::ComputeRates(double t,
+                              const std::vector<std::size_t>& active,
+                              const std::vector<int>& engaged) {
   // Every active task's host and broker is engaged by construction, so
-  // the task loops see exactly the values the dense pass would.
+  // the task loops below only ever read engaged slots.
   for (int n : engaged) {
     const auto i = static_cast<std::size_t>(n);
     scr_task_cpu_[i] = scr_ram_[i] = scr_disk_[i] = scr_net_[i] = 0.0;
@@ -733,8 +490,12 @@ void Federation::ComputeRatesSparse(double t,
     const HostRuntime& h = hosts_[hidx];
     if (h.FailedAt(t) || t < h.reconfig_until_s) return false;
     if (t < task.placed_time_s + task.startup_delay_s) return false;
+    // A failed broker stalls its whole LEI (the motivating failure mode).
     const NodeId broker = topology_.broker_of(task.assigned_host);
     if (hosts_[static_cast<std::size_t>(broker)].FailedAt(t)) return false;
+    // A network partition between a worker and its broker stalls the
+    // worker's tasks the same way: the broker cannot manage containers
+    // across a severed link.
     if (!network_.SiteReachable(network_.site_of(task.assigned_host),
                                 broker)) {
       return false;
@@ -762,6 +523,8 @@ void Federation::ComputeRatesSparse(double t,
     const NodeId node = n;
     double overhead = 0.0;
     if (topology_.is_broker(node)) {
+      // Static management cost plus the per-task cost of every container
+      // the broker currently manages in its LEI.
       overhead = BrokerOverheadMips(node) +
                  h.spec.cpu_capacity_mips *
                      config_.broker_per_task_overhead_frac *
@@ -790,6 +553,9 @@ void Federation::ComputeRatesSparse(double t,
     if (!scr_task_runnable_[k]) continue;
     const Task& task = tasks_[active[k]];
     const auto hidx = static_cast<std::size_t>(task.assigned_host);
+    // A saturated broker throttles scheduling/result delivery for its
+    // whole LEI — the broker-bottleneck effect that motivates broker
+    // resilience in the first place.
     const auto bidx =
         static_cast<std::size_t>(topology_.broker_of(task.assigned_host));
     const double broker_slow =
@@ -800,13 +566,10 @@ void Federation::ComputeRatesSparse(double t,
 }
 
 // The event-driven engine: per-segment work touches only engaged hosts;
-// quiet hosts are integrated analytically. Engaged-host rates (and thus
-// completions and response times) are bit-identical to the dense engine;
-// the federation-wide energy reduction is deterministic but ordered
-// differently, so totals match dense only to ULP level.
-void Federation::RunSegmentsSparse(double t0, double t1,
-                                   const std::set<double>& breakset,
-                                   IntervalResult* out) {
+// quiet hosts are integrated analytically through the quiet-power tree.
+void Federation::RunSegments(double t0, double t1,
+                             const std::set<double>& breakset,
+                             IntervalResult* out) {
   IntervalResult& result = *out;
   // Engaged = hosts whose state can deviate from the quiet profile this
   // interval: resident tasks and their brokers (per-task management
@@ -834,8 +597,9 @@ void Federation::RunSegmentsSparse(double t0, double t1,
   double t = t0;
   while (t < t1 - kEps) {
     const double seg_end = *breakset.upper_bound(t + kEps);
-    ComputeRatesSparse(t, active_, engaged);
+    ComputeRates(t, active_, engaged);
 
+    // Earliest completion inside this segment.
     double t_next = seg_end;
     for (std::size_t k = 0; k < active_.size(); ++k) {
       if (scr_rates_[k] > kEps) {
@@ -846,6 +610,7 @@ void Federation::RunSegmentsSparse(double t0, double t1,
     t_next = std::min(std::max(t_next, t + kEps), seg_end);
     const double dt = t_next - t;
 
+    // Integrate utilization and energy over [t, t_next).
     for (int n : engaged) {
       const auto i = static_cast<std::size_t>(n);
       const HostRuntime& h = hosts_[i];
@@ -867,6 +632,8 @@ void Federation::RunSegmentsSparse(double t0, double t1,
       scr_energy_j_[i] += power * dt;
     }
 
+    // Advance progress; collect completions. Erasure is deferred so the
+    // scr_rates_ indices stay aligned with `active_` during the sweep.
     for (std::size_t k = 0; k < active_.size(); ++k) {
       Task& task = tasks_[active_[k]];
       if (scr_rates_[k] <= kEps) continue;
@@ -921,8 +688,8 @@ void Federation::RunSegmentsSparse(double t0, double t1,
   total_energy_kwh_ += interval_kwh;
   result.energy_kwh = interval_kwh;
 
-  // Row refresh. Engaged rows are rebuilt from their integrals exactly
-  // like the dense engine. A quiet host's row is rewritten only when it
+  // Row refresh (this becomes M_t). Engaged rows are rebuilt from their
+  // integrals. A quiet host's row is rewritten only when it
   // just left the engaged set (engaged_prev_) or its quiet profile shape
   // changed (rows_dirty_: role flips, LEI worker-count changes) — all
   // other quiet rows are byte-for-byte what this rewrite would produce,

@@ -51,16 +51,9 @@ struct SimConfig {
   double ram_thrash_slowdown = 0.5;
   // Idle workers with no resident tasks drop to standby.
   double standby_power_frac = 0.6;
-  // Event-driven O(changed) stepping (the simkern engine): per-segment
-  // rate and energy work inside RunInterval touches only "engaged" hosts
-  // (hosts with resident tasks, open fault windows or injected
-  // contention, plus their brokers); every quiet host is integrated
-  // analytically through a fixed-shape power SumTree. Engaged-host task
-  // rates, completions and response times are bit-identical to dense
-  // mode; federation-wide energy sums in a different (still
-  // deterministic) order, so totals agree only to ULP level. Dense mode
-  // stays the default: it is the bit-for-bit legacy path that the golden
-  // digests in tests/simkern_test.cpp pin. See src/simkern/README.md.
+  // Retired and ignored: RunInterval always steps event-driven
+  // (src/simkern/README.md). The field stays only so that code which
+  // still assigns it keeps compiling.
   bool event_driven = false;
   NetworkConfig network;
 };
@@ -207,10 +200,10 @@ class Federation {
 
   // --- planner hints (scoped repair; core/subgraph.h) -----------------
   // The engaged set of the last executed interval, ascending: every host
-  // the event-driven kernel actually stepped (resident tasks, busy
-  // broker duties, open fault windows, contention, fresh reconfig).
-  // Empty in dense mode and before the first interval. This is the
-  // "recently dirty" region a scoped repair should extract around.
+  // RunInterval actually stepped (task hosts and their brokers, open
+  // fault windows, contention). Before the first interval it lists every
+  // host. This is the "recently dirty" region a scoped repair should
+  // extract around.
   const std::vector<NodeId>& engaged_hosts() const { return engaged_prev_; }
   // Hosts with injected contention load, ascending. O(L) to copy.
   std::vector<NodeId> LoadHosts() const {
@@ -236,17 +229,9 @@ class Federation {
   std::string AuditIncrementalState() const;
 
  private:
-  struct RateInfo {
-    double rate_mips = 0.0;
-  };
+  // The dense reference engine of tests/fleet_sparse_test.cpp.
+  friend class DenseReferenceEngine;
 
-  // Per-segment processing rate of every unfinished placed task at time t.
-  std::vector<double> ComputeRates(double t,
-                                   const std::vector<std::size_t>& active,
-                                   std::vector<double>* host_cpu_ratio,
-                                   std::vector<double>* host_ram_ratio,
-                                   std::vector<double>* host_disk_ratio,
-                                   std::vector<double>* host_net_ratio) const;
   double BrokerOverheadMips(NodeId broker) const;
   void ApplyPlacement(const SchedulingDecision& decision, double t0,
                       IntervalResult* result);
@@ -257,22 +242,17 @@ class Federation {
   // change; marks hosts whose quiet profile shape changed as row-dirty.
   void RefreshTopologyDerived();
   // Power draw of `node` with no tasks, no faults, no contention: standby
-  // for workers, management-overhead load for brokers. Mirrors the dense
-  // per-segment power formula exactly.
+  // for workers, management-overhead load for brokers. Mirrors the
+  // per-segment power formula of RunSegments exactly.
   double QuietPowerW(NodeId node) const;
-  // Legacy-ordered dense segment loop (bit-for-bit the pre-simkern path).
-  void RunSegmentsDense(double t0, double t1,
-                        const std::set<double>& breakset,
-                        IntervalResult* result);
-  // Engaged-set O(changed) segment loop (event_driven mode).
-  void RunSegmentsSparse(double t0, double t1,
-                         const std::set<double>& breakset,
-                         IntervalResult* result);
-  // Sparse twin of ComputeRates: identical per-host formulas, evaluated
-  // only on `engaged` slots of the member scratch arrays. Fills
-  // scr_rates_ / scr_task_runnable_ (indices aligned with `active`).
-  void ComputeRatesSparse(double t, const std::vector<std::size_t>& active,
-                          const std::vector<int>& engaged);
+  // Engaged-set O(changed) segment loop of RunInterval.
+  void RunSegments(double t0, double t1, const std::set<double>& breakset,
+                   IntervalResult* result);
+  // Per-segment processing rate of every unfinished placed task at time
+  // t, evaluated only on `engaged` slots of the member scratch arrays.
+  // Fills scr_rates_ / scr_task_runnable_ (indices aligned with `active`).
+  void ComputeRates(double t, const std::vector<std::size_t>& active,
+                    const std::vector<int>& engaged);
 
   std::vector<HostRuntime> hosts_;
   Topology topology_;
@@ -310,8 +290,8 @@ class Federation {
   simkern::SumTree quiet_power_tree_;      // leaves == quiet_power_w_
   std::vector<int> prev_worker_counts_;    // scratch for the refresh diff
 
-  // Event-driven mode: engaged-set scratch (all H-sized, touched only on
-  // engaged slots per interval) and row-refresh bookkeeping.
+  // Engaged-set scratch (all H-sized, touched only on engaged slots per
+  // interval) and row-refresh bookkeeping.
   simkern::HostSet engaged_;
   std::vector<NodeId> engaged_prev_;  // engaged set of the last interval
   std::set<NodeId> rows_dirty_;       // quiet hosts needing a row rewrite

@@ -1,13 +1,49 @@
-// Unit tests for common/: rng, stats, csv.
+// Unit tests for common/: rng, stats, csv, binio.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
+#include <sstream>
+#include <string>
 
+#include "common/binio.h"
 #include "common/csv.h"
 #include "common/rng.h"
 #include "common/stats.h"
+
+// Allocation guard for the BinaryReader length-prefix test: this binary's
+// global operator new passes every request through to malloc, except
+// that while the guard is armed it refuses any single request above
+// 64 MiB with std::bad_alloc. A reader that sizes its buffer from a
+// corrupt count therefore fails the test without allocating gigabytes.
+namespace {
+std::atomic<bool> g_large_alloc_guard{false};
+constexpr std::size_t kLargeAllocBytes = std::size_t{64} << 20;
+}  // namespace
+
+// Out of line, so the compiler pairs callers' new/delete instead of
+// seeing malloc'd memory reach free through inlined operator delete
+// (which -Wmismatched-new-delete misreports).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (n > kLargeAllocBytes &&
+      g_large_alloc_guard.load(std::memory_order_relaxed)) {
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace carol::common {
 namespace {
@@ -209,6 +245,36 @@ TEST(CsvTest, RowWidthMismatchThrows) {
 
 TEST(CsvTest, MissingFileThrows) {
   EXPECT_THROW(ReadCsv("/nonexistent/path/file.csv"), std::runtime_error);
+}
+
+// Arms the allocation guard for one scope.
+class LargeAllocGuard {
+ public:
+  LargeAllocGuard() { g_large_alloc_guard = true; }
+  ~LargeAllocGuard() { g_large_alloc_guard = false; }
+};
+
+// The largest count BoundedCount admits, 2^32, followed by only 8
+// payload bytes: every reader must report truncation, and none may size
+// its buffer from the count first (that would ask for up to 32 GiB).
+template <typename Read>
+void ExpectTruncationWithoutLargeAlloc(Read read) {
+  std::ostringstream out;
+  BinaryWriter w(out);
+  w.U64(std::uint64_t{1} << 32);
+  w.U64(0);
+  std::istringstream in(out.str());
+  BinaryReader r(in);
+  LargeAllocGuard guard;
+  EXPECT_THROW(read(r), BinaryFormatError);
+}
+
+TEST(BinaryReaderTest, CorruptLengthPrefixFailsBeforeLargeAllocation) {
+  ExpectTruncationWithoutLargeAlloc([](BinaryReader& r) { r.String(); });
+  ExpectTruncationWithoutLargeAlloc([](BinaryReader& r) { r.Doubles(); });
+  ExpectTruncationWithoutLargeAlloc(
+      [](BinaryReader& r) { r.Ints<std::int64_t>(); });
+  ExpectTruncationWithoutLargeAlloc([](BinaryReader& r) { r.Bools(); });
 }
 
 }  // namespace

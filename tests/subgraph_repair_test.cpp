@@ -327,7 +327,6 @@ TEST(ApplySpliceTest, InvalidSpliceThrowsAndRollsBack) {
 // LIVE federation and let the kernel's own audit judge it.
 TEST(SpliceBackTest, FuzzedScopedRepairsSurviveFederationAudit) {
   sim::SimConfig cfg;
-  cfg.event_driven = true;
   cfg.network.num_sites = 8;
   const int hosts = 128;
   sim::Federation fed(sim::ScaledTestbedSpecs(hosts),
