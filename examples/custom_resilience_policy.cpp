@@ -42,14 +42,19 @@ class BalanceFirstPolicy : public core::ResilienceModel {
       const auto repairs =
           core::FailureNeighbors(topo, failed, alive, {});
       if (repairs.empty()) continue;
-      core::TabuSearch search(core::TabuConfig{.max_iterations = 5,
-                                               .max_evaluations = 80});
-      topo = search.Optimize(
-          repairs.front(),
-          [&](const sim::Topology& g) {
-            return core::LocalNeighbors(g, alive, {});
-          },
-          [](const sim::Topology& g) { return Objective(g); });
+      // Step-driven tabu search: score each proposed frontier with the
+      // hand-written objective until the search is done.
+      core::TabuSearchState search(
+          core::TabuConfig{.max_iterations = 5, .max_evaluations = 80},
+          repairs.front(), core::LocalMoveNeighbors(alive, {}));
+      while (!search.done()) {
+        std::vector<double> scores;
+        for (const sim::Topology& g : search.ProposeFrontier()) {
+          scores.push_back(Objective(g));
+        }
+        search.Advance(scores);
+      }
+      topo = search.best();
     }
     return topo;
   }

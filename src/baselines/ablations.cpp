@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-
-#include "core/node_shift.h"
+#include <functional>
 
 namespace carol::baselines {
 
@@ -12,6 +10,32 @@ namespace {
 constexpr int kGenNoise = 4;
 constexpr int kGenInput = core::FeatureEncoder::kSchedFeatures +
                           core::FeatureEncoder::kRoleFeatures + kGenNoise;
+
+// Both tabu-based ablations repair exactly like CAROL — core::PlanDecision:
+// a random node-shift start per failed broker, then tabu search — and
+// score each candidate with their own surrogate instead of the GON. Only
+// the tabu budget is the ablation's; the node-shift options and the
+// proactive extension (off) keep CarolConfig's defaults.
+sim::Topology PlanWithSurrogate(
+    const sim::Topology& current,
+    const std::vector<sim::NodeId>& failed_brokers,
+    const sim::SystemSnapshot& snapshot, const core::TabuConfig& tabu,
+    common::Rng& rng,
+    const std::function<double(const sim::Topology&)>& score_one) {
+  core::CarolConfig config;
+  config.tabu = tabu;
+  return core::PlanDecision(
+      current, failed_brokers, snapshot, config, rng,
+      [&](const std::vector<sim::Topology>& frontier) {
+        std::vector<double> scores;
+        scores.reserve(frontier.size());
+        for (const sim::Topology& g : frontier) {
+          scores.push_back(score_one(g));
+        }
+        return scores;
+      });
+}
+
 }  // namespace
 
 std::unique_ptr<core::CarolModel> MakeAlwaysFineTune(
@@ -86,34 +110,9 @@ sim::Topology WithGanSurrogate::Repair(
     const sim::Topology& current,
     const std::vector<sim::NodeId>& failed_brokers,
     const sim::SystemSnapshot& snapshot) {
-  if (failed_brokers.empty()) return current;
-  sim::Topology topo = current;
-  std::vector<bool> alive = snapshot.alive;
-  if (alive.size() != static_cast<std::size_t>(topo.num_nodes())) {
-    alive.assign(static_cast<std::size_t>(topo.num_nodes()), true);
-  }
-  for (sim::NodeId b : failed_brokers) {
-    if (static_cast<std::size_t>(b) < alive.size()) {
-      alive[static_cast<std::size_t>(b)] = false;
-    }
-  }
-  for (sim::NodeId failed : failed_brokers) {
-    if (!topo.is_broker(failed)) continue;
-    const auto repairs = core::FailureNeighbors(topo, failed, alive,
-                                                core::NodeShiftOptions{});
-    if (repairs.empty()) continue;
-    core::TabuSearch search(config_.tabu);
-    const sim::Topology start = repairs[rng_.Choice(repairs.size())];
-    topo = search.Optimize(
-        start,
-        [&](const sim::Topology& g) {
-          return core::LocalNeighbors(g, alive, core::NodeShiftOptions{});
-        },
-        [&](const sim::Topology& g) {
-          return ScoreTopology(g, snapshot);
-        });
-  }
-  return topo;
+  return PlanWithSurrogate(
+      current, failed_brokers, snapshot, config_.tabu, rng_,
+      [&](const sim::Topology& g) { return ScoreTopology(g, snapshot); });
 }
 
 void WithGanSurrogate::TrainOffline(const workload::Trace& trace,
@@ -239,34 +238,12 @@ sim::Topology TraditionalSurrogate::Repair(
     const sim::Topology& current,
     const std::vector<sim::NodeId>& failed_brokers,
     const sim::SystemSnapshot& snapshot) {
-  if (failed_brokers.empty()) return current;
-  sim::Topology topo = current;
-  std::vector<bool> alive = snapshot.alive;
-  if (alive.size() != static_cast<std::size_t>(topo.num_nodes())) {
-    alive.assign(static_cast<std::size_t>(topo.num_nodes()), true);
-  }
-  for (sim::NodeId b : failed_brokers) {
-    if (static_cast<std::size_t>(b) < alive.size()) {
-      alive[static_cast<std::size_t>(b)] = false;
-    }
-  }
-  for (sim::NodeId failed : failed_brokers) {
-    if (!topo.is_broker(failed)) continue;
-    const auto repairs = core::FailureNeighbors(topo, failed, alive,
-                                                core::NodeShiftOptions{});
-    if (repairs.empty()) continue;
-    core::TabuSearch search(config_.tabu);
-    topo = search.Optimize(
-        repairs[rng_.Choice(repairs.size())],
-        [&](const sim::Topology& g) {
-          return core::LocalNeighbors(g, alive, core::NodeShiftOptions{});
-        },
-        [&](const sim::Topology& g) {
-          const auto [energy, slo] = PredictQos(g, snapshot);
-          return config_.alpha * energy + config_.beta * slo;
-        });
-  }
-  return topo;
+  return PlanWithSurrogate(
+      current, failed_brokers, snapshot, config_.tabu, rng_,
+      [&](const sim::Topology& g) {
+        const auto [energy, slo] = PredictQos(g, snapshot);
+        return config_.alpha * energy + config_.beta * slo;
+      });
 }
 
 void TraditionalSurrogate::SupervisedStep(

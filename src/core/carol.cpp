@@ -62,12 +62,6 @@ std::vector<double> ScoreTopologiesWith(
   return ScoreEncoded(gon, contexts, alpha, beta);
 }
 
-// --- the resumable repair pipeline --------------------------------------
-
-namespace {
-
-// Snapshot alive flags, falling back to all-alive when the snapshot does
-// not cover the candidate topology's node range.
 std::vector<bool> AliveForTopology(const sim::SystemSnapshot& snapshot,
                                    const sim::Topology& topo) {
   std::vector<bool> alive = snapshot.alive;
@@ -77,7 +71,10 @@ std::vector<bool> AliveForTopology(const sim::SystemSnapshot& snapshot,
   return alive;
 }
 
-const std::vector<sim::NodeId> kNoFailedBrokers;
+// --- the resumable repair pipeline --------------------------------------
+
+namespace {
+
 const std::vector<sim::Topology> kEmptyFrontier;
 
 }  // namespace
@@ -85,15 +82,12 @@ const std::vector<sim::Topology> kEmptyFrontier;
 RepairJob::RepairJob(const sim::Topology& current,
                      const std::vector<sim::NodeId>& failed_brokers,
                      const sim::SystemSnapshot& snapshot,
-                     const CarolConfig& config, common::Rng* rng, Mode mode)
+                     const CarolConfig& config, common::Rng* rng)
     : failed_(&failed_brokers),
       config_(&config),
       rng_(rng),
       topo_(current) {
-  const bool repair_path =
-      mode == Mode::kRepairOnly ||
-      (mode == Mode::kDecision && !failed_brokers.empty());
-  if (repair_path) {
+  if (!failed_brokers.empty()) {
     alive_ = AliveForTopology(snapshot, topo_);
     // Every failed broker is byzantine: exclude from candidate roles.
     for (sim::NodeId b : failed_brokers) {
@@ -105,10 +99,7 @@ RepairJob::RepairJob(const sim::Topology& current,
     StartNextBrokerSearch();
     return;
   }
-  const bool proactive_path =
-      mode == Mode::kProactiveOnly ||
-      (mode == Mode::kDecision && config.proactive);
-  if (!proactive_path) return;  // nothing failed, nothing to do
+  if (!config.proactive) return;  // nothing failed, nothing to do
   // Only act on the failure precursor: sustained resource
   // over-utilization somewhere in the fleet (§VI).
   double max_util = 0.0;
@@ -212,8 +203,7 @@ void RepairJob::Advance(std::span<const double> scores) {
       search_->Advance(scores);
       if (search_->done()) {
         // The move gate needs the incumbent's own score: propose it as a
-        // one-candidate frontier (matches the one-shot form's trailing
-        // score({current}) call).
+        // one-candidate frontier.
         baseline_.assign(1, topo_);
         phase_ = Phase::kProactiveBaseline;
       }
@@ -236,53 +226,20 @@ void RepairJob::Advance(std::span<const double> scores) {
   }
 }
 
-namespace {
-
-// Drives a job to completion against a blocking scorer — the shared body
-// of the one-shot Plan* wrappers.
-sim::Topology DriveToCompletion(RepairJob& job,
-                                const TopologyBatchScoreFn& score) {
-  while (!job.done()) {
-    job.Advance(score(job.ProposeFrontier()));
-  }
-  return job.result();
-}
-
-}  // namespace
-
-sim::Topology PlanRepair(const sim::Topology& current,
-                         const std::vector<sim::NodeId>& failed_brokers,
-                         const sim::SystemSnapshot& snapshot,
-                         const CarolConfig& config, common::Rng& rng,
-                         const TopologyBatchScoreFn& score) {
-  RepairJob job(current, failed_brokers, snapshot, config, &rng,
-                RepairJob::Mode::kRepairOnly);
-  return DriveToCompletion(job, score);
-}
-
-sim::Topology PlanProactive(const sim::Topology& current,
-                            const sim::SystemSnapshot& snapshot,
-                            const CarolConfig& config,
-                            const TopologyBatchScoreFn& score,
-                            bool* acted) {
-  RepairJob job(current, kNoFailedBrokers, snapshot, config, nullptr,
-                RepairJob::Mode::kProactiveOnly);
-  if (job.proactive_acted() && acted != nullptr) *acted = true;
-  return DriveToCompletion(job, score);
-}
-
 sim::Topology PlanDecision(const sim::Topology& current,
                            const std::vector<sim::NodeId>& failed_brokers,
                            const sim::SystemSnapshot& snapshot,
                            const CarolConfig& config, common::Rng& rng,
                            const TopologyBatchScoreFn& score,
                            bool* proactive_acted) {
-  RepairJob job(current, failed_brokers, snapshot, config, &rng,
-                RepairJob::Mode::kDecision);
+  RepairJob job(current, failed_brokers, snapshot, config, &rng);
   if (job.proactive_acted() && proactive_acted != nullptr) {
     *proactive_acted = true;
   }
-  return DriveToCompletion(job, score);
+  while (!job.done()) {
+    job.Advance(score(job.ProposeFrontier()));
+  }
+  return job.result();
 }
 
 ConfidenceGate::ConfidenceGate(const CarolConfig& config)

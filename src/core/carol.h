@@ -11,14 +11,15 @@
 //     it (then clear Gamma).
 //
 // The algorithm is split into free building blocks (RepairJob,
-// PlanRepair, PlanProactive, ScoreTopologiesWith, ConfidenceGate) shared
-// between the single-model CarolModel below and the multi-tenant serving
-// layer in src/serve: both drive the same code, which is what makes
-// service decisions bit-identical to the single-model path at fixed
-// seeds. The repair path is a resumable state machine (RepairJob): it
-// yields one candidate frontier per step and the caller supplies the
-// scores, so a serving layer can interleave and batch scoring across
-// federations; the one-shot Plan* functions drive a job to completion.
+// PlanDecision, ScoreTopologiesWith, ConfidenceGate) shared between the
+// single-model CarolModel below, the tabu-based ablations in
+// src/baselines and the multi-tenant serving layer in src/serve: all of
+// them drive the same code, which is what makes service decisions
+// bit-identical to the single-model path at fixed seeds. The repair path
+// is one resumable state machine (RepairJob): it yields one candidate
+// frontier per step and the caller supplies the scores, so a serving
+// layer can interleave and batch scoring across federations;
+// PlanDecision drives a job to completion against a blocking scorer.
 #ifndef CAROL_CORE_CAROL_H_
 #define CAROL_CORE_CAROL_H_
 
@@ -111,8 +112,15 @@ inline double GammaStateBytes(double hosts = 16.0) {
          sizeof(double);
 }
 
+// Snapshot alive flags for `topo`, falling back to all-alive when the
+// snapshot does not cover the topology's node range. The one liveness
+// convention of the repair path: RepairJob's candidate roles and the
+// scoped extraction (core/subgraph.h) both start from it.
+std::vector<bool> AliveForTopology(const sim::SystemSnapshot& snapshot,
+                                   const sim::Topology& topo);
+
 // Scores a whole candidate frontier for one snapshot; the snapshot and
-// the scoring model are captured by the caller. Used by the tabu search.
+// the scoring model are captured by the caller. Used by PlanDecision.
 using TopologyBatchScoreFn =
     std::function<std::vector<double>(const std::vector<sim::Topology>&)>;
 
@@ -135,19 +143,6 @@ std::vector<double> ScoreTopologiesWith(
     const std::vector<sim::Topology>& candidates,
     const sim::SystemSnapshot& snapshot);
 
-// Resumable form of the per-interval repair dispatch: the per-broker
-// loop of Algorithm 2 lines 6-8 (plus the §VI proactive extension) as an
-// explicit state machine that yields one candidate frontier per step
-// instead of blocking on a scoring callback. Protocol:
-//   RepairJob job(current, failed, snapshot, config, &rng);
-//   while (!job.done()) job.Advance(scores_for(job.ProposeFrontier()));
-//   use job.result();
-// Driving a job to completion performs exactly the evaluations (and rng
-// draws) of the one-shot PlanDecision/PlanRepair/PlanProactive calls —
-// which are now thin loops over this class — for ANY interleaving with
-// other jobs: all search state is self-contained, so a scheduler may
-// advance many federations' jobs step by step in any order and batch
-// their frontiers into shared GON passes (src/serve does exactly that).
 // Complete serializable state of a RepairJob, captured between steps
 // (frontier proposed, scores pending). Topologies are stored as
 // assignment encodings; the borrowed inputs (failed-broker list, config,
@@ -165,20 +160,29 @@ struct RepairJobState {
   TabuSearchSnapshot search;
 };
 
+// The per-interval repair dispatch — the per-broker loop of Algorithm 2
+// lines 6-8, or the §VI proactive extension when nothing failed — as an
+// explicit state machine that yields one candidate frontier per step
+// instead of blocking on a scoring callback. Protocol:
+//   RepairJob job(current, failed, snapshot, config, &rng);
+//   while (!job.done()) job.Advance(scores_for(job.ProposeFrontier()));
+//   use job.result();
+// Driving a job to completion performs exactly the same evaluations (and
+// rng draws) for ANY interleaving with other jobs: all search state is
+// self-contained, so a scheduler may advance many federations' jobs step
+// by step in any order and batch their frontiers into shared GON passes
+// (src/serve does exactly that).
 class RepairJob {
  public:
-  // Which slice of the per-interval dispatch to run; the one-shot
-  // wrappers map 1:1 onto these.
-  enum class Mode { kDecision, kRepairOnly, kProactiveOnly };
-
   // All reference arguments are borrowed for the lifetime of the job.
-  // `rng` is consumed only for repair starts (Algorithm 2 line 7) and
-  // may be null when the mode can never reach the repair path
-  // (kProactiveOnly).
+  // With failed brokers the job repairs each one in list order;
+  // otherwise it runs the proactive extension when `config.proactive` is
+  // on, and is done at once when it is off. `rng` is consumed only for
+  // repair starts (Algorithm 2 line 7).
   RepairJob(const sim::Topology& current,
             const std::vector<sim::NodeId>& failed_brokers,
             const sim::SystemSnapshot& snapshot, const CarolConfig& config,
-            common::Rng* rng, Mode mode = Mode::kDecision);
+            common::Rng* rng);
 
   // Restores a job captured by SaveState(). `failed_brokers` must equal
   // the original request's list (borrowed, as in the primary
@@ -235,29 +239,14 @@ class RepairJob {
   bool proactive_acted_ = false;
 };
 
-// Algorithm 2 lines 6-8: for every failed broker, a random node-shift
-// start followed by tabu search over the node-shift neighborhood.
-// Deterministic given `rng` state and a deterministic `score`.
-sim::Topology PlanRepair(const sim::Topology& current,
-                         const std::vector<sim::NodeId>& failed_brokers,
-                         const sim::SystemSnapshot& snapshot,
-                         const CarolConfig& config, common::Rng& rng,
-                         const TopologyBatchScoreFn& score);
-
-// Proactive (§VI) re-optimization on failure-free intervals: acts only on
-// the overload precursor, and only moves when the surrogate sees a real
-// improvement. Sets *acted when an optimization attempt ran.
-sim::Topology PlanProactive(const sim::Topology& current,
-                            const sim::SystemSnapshot& snapshot,
-                            const CarolConfig& config,
-                            const TopologyBatchScoreFn& score,
-                            bool* acted = nullptr);
-
-// The full per-interval dispatch of the repair step: returns `current`
-// untouched when nothing failed (PlanProactive instead if the proactive
-// extension is on), PlanRepair otherwise. CarolModel and the serving
-// layer both route through this ONE function — that shared dispatch is
-// part of the bit-identity guarantee between the two paths.
+// Drives one RepairJob to completion against a blocking scorer and
+// returns its decision (the input topology when there is nothing to do).
+// Every failed broker gets a random node-shift start followed by tabu
+// search (Algorithm 2 lines 6-8); deterministic given `rng` state and a
+// deterministic `score`. The unscoped CarolModel and the tabu-based
+// ablations route through this ONE function, and the serving layer steps
+// the same RepairJob — that shared dispatch is part of the bit-identity
+// guarantee between the paths.
 sim::Topology PlanDecision(const sim::Topology& current,
                            const std::vector<sim::NodeId>& failed_brokers,
                            const sim::SystemSnapshot& snapshot,

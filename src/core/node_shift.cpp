@@ -153,17 +153,6 @@ void ApplyLocalMove(const sim::Topology& base, const LocalMove& move,
   }
 }
 
-std::vector<sim::Topology> LocalNeighbors(const sim::Topology& g,
-                                          const std::vector<bool>& alive,
-                                          const NodeShiftOptions& options) {
-  const std::vector<LocalMove> moves = LocalMoves(g, alive, options);
-  std::vector<sim::Topology> neighbors(moves.size());
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    ApplyLocalMove(g, moves[i], neighbors[i]);
-  }
-  return neighbors;
-}
-
 LazyNeighborFn LocalMoveNeighbors(const std::vector<bool>& alive,
                                   NodeShiftOptions options) {
   return [&alive, options](const sim::Topology& g) -> LazyFrontier {

@@ -9,15 +9,15 @@
 // worker reassignments, form the general neighborhood the tabu search
 // explores when optimizing QoS beyond the immediate repair.
 //
-// The general neighborhood is enumerated as compact move records
-// (LocalMoves) rather than materialized topologies: enumeration is O(1)
-// per neighbor instead of copying an H-sized assignment vector each (the
-// ROADMAP's H>=64 repair bottleneck). The tabu search then materializes
-// candidates one at a time into a reused scratch buffer — over-budget
-// candidates are never built, tabu-filtered ones cost a scratch rebuild
-// but no allocation, and only eligible candidates are ever copied into a
-// frontier. LocalNeighbors survives as the eager wrapper, so the two
-// forms agree by construction.
+// The general neighborhood has one enumeration: compact move records
+// (LocalMoves) rather than materialized topologies, so enumeration is
+// O(1) per neighbor instead of copying an H-sized assignment vector each
+// (the ROADMAP's H>=64 repair bottleneck). LocalMoveNeighbors hands them
+// to the tabu search, which materializes candidates one at a time into a
+// reused scratch buffer (ApplyLocalMove) — over-budget candidates are
+// never built, tabu-filtered ones cost a scratch rebuild but no
+// allocation, and only eligible candidates are ever copied into a
+// frontier.
 #ifndef CAROL_CORE_NODE_SHIFT_H_
 #define CAROL_CORE_NODE_SHIFT_H_
 
@@ -39,10 +39,10 @@ struct NodeShiftOptions {
 };
 
 // One local node-shift move, recorded as a (kind, node, target) triple.
-// Applying it to the base topology yields the corresponding
-// LocalNeighbors entry; every enumerated move produces a valid topology
-// (the mutation primitives preserve validity and only alive nodes are
-// used as brokers/targets).
+// Applying it to the base topology (ApplyLocalMove) yields one neighbor;
+// every enumerated move produces a valid topology (the mutation
+// primitives preserve validity and only alive nodes are used as
+// brokers/targets).
 struct LocalMove {
   enum class Kind : std::uint8_t {
     kAssign,   // reassign worker `node` to broker `target`
@@ -62,9 +62,9 @@ std::vector<sim::Topology> FailureNeighbors(
     const sim::Topology& g, sim::NodeId failed_broker,
     const std::vector<bool>& alive, const NodeShiftOptions& options = {});
 
-// Move-record form of the general local neighborhood around `g`: single
-// worker reassignments, promotions, and demotions, restricted to alive
-// nodes. Same moves, same order as LocalNeighbors.
+// The general local neighborhood around `g` as move records: single
+// worker reassignments, then promotions, then demotions, restricted to
+// alive nodes.
 std::vector<LocalMove> LocalMoves(const sim::Topology& g,
                                   const std::vector<bool>& alive,
                                   const NodeShiftOptions& options = {});
@@ -76,12 +76,6 @@ std::vector<LocalMove> LocalMoves(const sim::Topology& g,
 // subsequent Hash() costs O(1) — no per-candidate rehash.
 void ApplyLocalMove(const sim::Topology& base, const LocalMove& move,
                     sim::Topology& out);
-
-// General local moves around `g`, eagerly materialized — the classic
-// form, now a wrapper over LocalMoves + ApplyLocalMove.
-std::vector<sim::Topology> LocalNeighbors(
-    const sim::Topology& g, const std::vector<bool>& alive,
-    const NodeShiftOptions& options = {});
 
 // Tabu-ready lazy neighborhood over LocalMoves: each call enumerates
 // move records (no topology copies at enumeration time) and the search

@@ -10,18 +10,6 @@ namespace {
 
 const std::vector<sim::Topology> kEmptyFrontier;
 
-// Snapshot alive flags for extraction, with the same fallback the
-// RepairJob constructor applies (core/carol.cpp AliveForTopology): a
-// snapshot that does not cover the topology means all-alive.
-std::vector<bool> ExtractionAlive(const sim::SystemSnapshot& snapshot,
-                                  const sim::Topology& topo) {
-  std::vector<bool> alive = snapshot.alive;
-  if (alive.size() != static_cast<std::size_t>(topo.num_nodes())) {
-    alive.assign(static_cast<std::size_t>(topo.num_nodes()), true);
-  }
-  return alive;
-}
-
 }  // namespace
 
 RepairSubgraph RepairSubgraph::Extract(
@@ -170,7 +158,8 @@ void ScopedRepairJob::BuildSubProblem(
     const std::vector<sim::NodeId>& failed_brokers,
     const sim::SystemSnapshot& snapshot, std::span<const sim::NodeId> hints,
     const ScopedRepairOptions& options) {
-  const std::vector<bool> alive = ExtractionAlive(snapshot, current);
+  // The same liveness the RepairJob constructor starts from.
+  const std::vector<bool> alive = AliveForTopology(snapshot, current);
   subgraph_ = RepairSubgraph::Extract(current, alive, failed_brokers,
                                       hints, options);
   sub_failed_ = subgraph_.empty() ? std::vector<sim::NodeId>{}
@@ -190,7 +179,7 @@ ScopedRepairJob::ScopedRepairJob(
   BuildSubProblem(current, failed_brokers, snapshot, hints, options);
   if (!subgraph_.empty()) {
     job_.emplace(subgraph_.sub_topology(), sub_failed_, sub_snapshot_,
-                 config, rng, RepairJob::Mode::kDecision);
+                 config, rng);
   }
 }
 

@@ -1,24 +1,11 @@
 #include "core/tabu.h"
 
+#include <algorithm>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
 namespace carol::core {
-
-LazyNeighborFn LazyFromNeighbors(TabuSearch::NeighborFn neighbors) {
-  return [neighbors =
-              std::move(neighbors)](const sim::Topology& g) -> LazyFrontier {
-    auto cache = std::make_shared<std::vector<sim::Topology>>(neighbors(g));
-    LazyFrontier frontier;
-    frontier.count = cache->size();
-    frontier.materialize = [cache](std::size_t i, sim::Topology& out) {
-      out = std::move((*cache)[i]);
-    };
-    return frontier;
-  };
-}
 
 // --- TabuSearchState ----------------------------------------------------
 
@@ -30,8 +17,7 @@ TabuSearchState::TabuSearchState(const TabuConfig& config,
       current_(std::move(start)),
       best_(current_) {
   // The first proposal is the incumbent itself: its score seeds
-  // best_score_ on the first Advance, exactly like the one-shot form's
-  // leading objective({start}) call.
+  // best_score_ on the first Advance.
   frontier_.push_back(current_);
 }
 
@@ -155,41 +141,6 @@ void TabuSearchState::Advance(std::span<const double> scores) {
   }
   ++iter_;
   BuildNextFrontier();
-}
-
-// --- one-shot wrappers --------------------------------------------------
-
-sim::Topology TabuSearch::Optimize(const sim::Topology& start,
-                                   const NeighborFn& neighbors,
-                                   const ObjectiveFn& objective) {
-  // The sequential form is the batch form scoring one candidate at a
-  // time — the evaluation order and counts are identical.
-  return Optimize(start, neighbors,
-                  [&objective](const std::vector<sim::Topology>& frontier) {
-                    std::vector<double> scores;
-                    scores.reserve(frontier.size());
-                    for (const sim::Topology& g : frontier) {
-                      scores.push_back(objective(g));
-                    }
-                    return scores;
-                  });
-}
-
-sim::Topology TabuSearch::Optimize(const sim::Topology& start,
-                                   const NeighborFn& neighbors,
-                                   const BatchObjectiveFn& objective) {
-  TabuSearchState state(config_, start, LazyFromNeighbors(neighbors));
-  while (!state.done()) {
-    const std::vector<double> scores = objective(state.ProposeFrontier());
-    if (scores.size() != state.ProposeFrontier().size()) {
-      throw std::logic_error(
-          "TabuSearch: batch objective returned wrong score count");
-    }
-    state.Advance(scores);
-  }
-  evaluations_ = state.evaluations();
-  best_score_ = state.best_score();
-  return state.best();
 }
 
 }  // namespace carol::core

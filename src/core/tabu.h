@@ -4,19 +4,14 @@
 // a caller-supplied expansion function, with a fixed-size tabu list of
 // topology hashes (list size L is the Fig. 6(c) sensitivity knob).
 //
-// Two driving styles share one implementation:
-//   * TabuSearch::Optimize — the one-shot form: the caller hands over an
-//     objective and blocks until the search finishes.
-//   * TabuSearchState — the resumable, step-driven form: the search
-//     yields its pending candidate frontier (ProposeFrontier), the caller
-//     scores it with whatever machinery it likes (one stacked GON pass, a
-//     cross-session batcher, a toy objective) and feeds the scores back
-//     (Advance). This is what lets the serving layer stack frontiers from
-//     many concurrently-repairing federations into shared kernel passes
-//     without any wall-clock lingering (src/serve).
-// Optimize is a thin loop over TabuSearchState, so the two evaluate
-// exactly the same candidates in the same order — interchangeable bit
-// for bit.
+// TabuSearchState is the one implementation, and it is step-driven: the
+// search yields its pending candidate frontier (ProposeFrontier), the
+// caller scores it with whatever machinery it likes (one stacked GON
+// pass, a cross-session batcher, a toy objective) and feeds the scores
+// back (Advance). This is what lets the serving layer stack frontiers
+// from many concurrently-repairing federations into shared kernel passes
+// without any wall-clock lingering (src/serve). A caller with a blocking
+// objective drives it with a three-line loop (see the protocol below).
 #ifndef CAROL_CORE_TABU_H_
 #define CAROL_CORE_TABU_H_
 
@@ -36,7 +31,7 @@ struct TabuConfig {
   // L — maximum number of remembered topologies (paper default: 100).
   int tabu_list_size = 100;
   int max_iterations = 10;
-  // Hard cap on objective evaluations per Optimize call, keeping repair
+  // Hard cap on objective evaluations per search, keeping repair
   // latency bounded in latency-critical settings (§III-B).
   int max_evaluations = 160;
 };
@@ -57,47 +52,6 @@ struct LazyFrontier {
   std::function<void(std::size_t, sim::Topology&)> materialize;
 };
 using LazyNeighborFn = std::function<LazyFrontier(const sim::Topology&)>;
-
-class TabuSearch {
- public:
-  explicit TabuSearch(TabuConfig config = {}) : config_(config) {}
-
-  using NeighborFn =
-      std::function<std::vector<sim::Topology>(const sim::Topology&)>;
-  using ObjectiveFn = std::function<double(const sim::Topology&)>;
-  // Scores a whole frontier at once (one score per input topology, same
-  // order). Lets Omega evaluations hit the GON's batched inference: one
-  // stacked forward for K candidate neighbors instead of K.
-  using BatchObjectiveFn =
-      std::function<std::vector<double>(const std::vector<sim::Topology>&)>;
-
-  // Starts from `start` (which is evaluated and becomes the incumbent)
-  // and iteratively moves to the best non-tabu neighbor, keeping the best
-  // topology seen. Deterministic given deterministic callbacks.
-  sim::Topology Optimize(const sim::Topology& start,
-                         const NeighborFn& neighbors,
-                         const ObjectiveFn& objective);
-  // Batched variant: per iteration the non-tabu frontier (truncated to
-  // the remaining evaluation budget) is scored with ONE call. Evaluates
-  // exactly the candidates the sequential form would, in the same order,
-  // so the two variants pick identical topologies for equal scores.
-  sim::Topology Optimize(const sim::Topology& start,
-                         const NeighborFn& neighbors,
-                         const BatchObjectiveFn& objective);
-
-  int evaluations() const { return evaluations_; }
-  double best_score() const { return best_score_; }
-
- private:
-  TabuConfig config_;
-  int evaluations_ = 0;
-  double best_score_ = 0.0;
-};
-
-// Adapts an eager neighbor expansion into the lazy frontier protocol
-// (the produced topologies are cached per call and moved out on
-// materialization, so nothing is built twice).
-LazyNeighborFn LazyFromNeighbors(TabuSearch::NeighborFn neighbors);
 
 // Complete serializable state of a TabuSearchState, captured BETWEEN
 // steps (frontier proposed, scores not yet supplied — the natural park

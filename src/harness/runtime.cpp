@@ -155,12 +155,6 @@ class TraceHooks : public simkern::IntervalHooks {
 
 }  // namespace
 
-sim::Topology FallbackRepair(const sim::Topology& topo,
-                             const std::vector<sim::NodeId>& failed_brokers,
-                             const sim::Federation& fed) {
-  return simkern::FallbackRepair(topo, failed_brokers, fed);
-}
-
 std::vector<double> RunResult::PerAppP90(std::size_t num_apps) const {
   std::vector<std::vector<double>> per_app(num_apps);
   for (std::size_t i = 0; i < all_responses.size(); ++i) {

@@ -63,15 +63,6 @@ struct RunResult {
   std::vector<double> PerAppP90(std::size_t num_apps) const;
 };
 
-// Fallback repair when a model returns an invalid topology or leaves a
-// failed broker managing alive workers: promote the least-utilized alive
-// orphan (the DYVERSE default), or hand the LEI to another alive broker.
-// Shared by FederationRuntime and the scenario driver so both apply the
-// exact same guard.
-sim::Topology FallbackRepair(const sim::Topology& topology,
-                             const std::vector<sim::NodeId>& failed_brokers,
-                             const sim::Federation& federation);
-
 class FederationRuntime {
  public:
   explicit FederationRuntime(RunConfig config) : config_(std::move(config)) {}

@@ -59,7 +59,7 @@ ServiceRunReport RunFederationsViaServiceReport(
     const std::vector<RunConfig>& configs) {
   if (specs.size() != configs.size()) {
     throw std::invalid_argument(
-        "RunFederationsViaService: specs/configs size mismatch");
+        "RunFederationsViaServiceReport: specs/configs size mismatch");
   }
   const serve::ServiceStats before = service.stats();
   ServiceRunReport report;
@@ -96,13 +96,6 @@ ServiceRunReport RunFederationsViaServiceReport(
                             static_cast<double>(report.pipeline_passes);
   }
   return report;
-}
-
-std::vector<RunResult> RunFederationsViaService(
-    serve::ResilienceService& service,
-    const std::vector<serve::FederationSpec>& specs,
-    const std::vector<RunConfig>& configs) {
-  return RunFederationsViaServiceReport(service, specs, configs).results;
 }
 
 // --- client-side retry ---------------------------------------------------

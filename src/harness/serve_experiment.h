@@ -121,15 +121,10 @@ serve::ObserveResponse ObserveWithRetry(
 // thread over the service's worker shards. Returns results in input
 // order. Sessions with FineTunePolicy::kNever are bit-identical to
 // sequential single-model runs; confidence-triggered fine-tunes couple
-// sessions through the shared surrogate (see src/serve/README.md).
-std::vector<RunResult> RunFederationsViaService(
-    serve::ResilienceService& service,
-    const std::vector<serve::FederationSpec>& specs,
-    const std::vector<RunConfig>& configs);
-
-// As above, but also reports the pipeline stacking achieved while the
-// federations ran concurrently (the serving layer's headline efficiency
-// metric: decisions stay bit-identical, kernel passes shrink).
+// sessions through the shared surrogate (see src/serve/README.md). Also
+// reports the pipeline stacking achieved while the federations ran
+// concurrently (the serving layer's headline efficiency metric:
+// decisions stay bit-identical, kernel passes shrink).
 ServiceRunReport RunFederationsViaServiceReport(
     serve::ResilienceService& service,
     const std::vector<serve::FederationSpec>& specs,

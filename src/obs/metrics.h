@@ -234,9 +234,6 @@ class LatencyRing {
 //                       search (RepairJob::Advance)
 //   confidence_wait_ns  parked awaiting the final stacked Discriminate
 //   total_ns            submit -> response delivered
-// Legacy-mode (pipeline == false) repairs run to completion on one
-// worker and are not traced (their latency still lands in the
-// repair_decision_ns histogram).
 struct DecisionTrace {
   std::uint64_t seq = 0;  // completion order, 1-based, service-wide
   std::uint64_t session = 0;

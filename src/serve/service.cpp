@@ -1282,6 +1282,28 @@ core::RepairJobState ReadRepairJobState(common::BinaryReader& r) {
   }
   s.has_search = r.Bool();
   if (s.has_search) s.search = ReadTabuSnapshot(r);
+  // A parked job resumes by scoring its proposed frontier, so reject the
+  // shapes RepairJob cannot step from: a search phase (0 repair, 1
+  // proactive) or the baseline phase (2) without a search, a search
+  // phase whose search is finished or has nothing to score, a pending
+  // start whose frontier is not one candidate (the incumbent), a
+  // baseline that is not one candidate.
+  const bool searching = s.phase == 0 || s.phase == 1;
+  if (s.phase != 3 && !s.has_search) {
+    throw common::BinaryFormatError("repair job phase without a search");
+  }
+  if (searching && (s.search.done || s.search.frontier.empty())) {
+    throw common::BinaryFormatError(
+        "repair job search has no frontier to score");
+  }
+  if (searching && s.search.start_pending && s.search.frontier.size() != 1) {
+    throw common::BinaryFormatError(
+        "repair job start frontier is not one candidate");
+  }
+  if (s.phase == 2 && s.baseline.size() != 1) {
+    throw common::BinaryFormatError(
+        "repair job baseline is not one candidate");
+  }
   return s;
 }
 

@@ -91,15 +91,14 @@ double Federation::QuietPowerW(NodeId node) const {
 void Federation::RefreshTopologyDerived() {
   prev_worker_counts_ = broker_worker_counts_;
   std::fill(broker_worker_counts_.begin(), broker_worker_counts_.end(), 0);
-  brokers_.clear();
   site_brokers_.assign(static_cast<std::size_t>(network_.num_sites()), {});
   for (NodeId n = 0; n < num_nodes(); ++n) {
     if (!topology_.is_broker(n)) {
       ++broker_worker_counts_[static_cast<std::size_t>(
           topology_.broker_of(n))];
     } else {
-      brokers_.push_back(n);  // ascending, same order topology_.brokers()
-                              // yields — routing tie-breaks rely on it
+      // Ascending within each site, the order topology_.brokers() yields
+      // — routing tie-breaks rely on it.
       site_brokers_[static_cast<std::size_t>(network_.site_of(n))]
           .push_back(n);
     }
@@ -178,6 +177,14 @@ void Federation::ClearFaultLoad(NodeId node) {
 }
 
 void Federation::Submit(std::vector<Task> tasks) {
+  // Routing indexes its per-site candidate cache by the gateway site, so
+  // the whole batch is checked before any task is appended.
+  for (const Task& task : tasks) {
+    if (task.gateway_site < 0 || task.gateway_site >= network_.num_sites()) {
+      throw std::invalid_argument(
+          "Federation::Submit: gateway site out of range");
+    }
+  }
   for (auto& task : tasks) {
     task.remaining_mi = task.total_mi;
     tasks_.push_back(std::move(task));
@@ -304,13 +311,10 @@ void Federation::RouteQueuedTasks() {
   int stranded = 0;
   // The latency-tie candidate set is a function of (site, brokers, alive)
   // only, all fixed for the duration of this call — compute it once per
-  // gateway site instead of per task (O(B) per site, not per task). The
-  // per-task tie-break still draws from rng_ exactly like the uncached
-  // RouteToBroker, so the rng stream — and every downstream decision —
-  // is unchanged.
-  const int num_sites = network_.num_sites();
+  // gateway site instead of per task. The per-task tie-break is one
+  // uniform draw from rng_. Submit admits only in-range gateway sites.
   std::vector<std::vector<NodeId>> site_candidates(
-      static_cast<std::size_t>(std::max(0, num_sites)));
+      static_cast<std::size_t>(std::max(0, network_.num_sites())));
   std::vector<char> site_cached(site_candidates.size(), 0);
   for (std::size_t idx : queued_) {
     Task& task = tasks_[idx];
@@ -321,22 +325,16 @@ void Federation::RouteQueuedTasks() {
         !alive[static_cast<std::size_t>(task.broker)] ||
         !network_.SiteReachable(task.gateway_site, task.broker);
     if (!needs_route) continue;
-    const int site = task.gateway_site;
+    const auto s = static_cast<std::size_t>(task.gateway_site);
+    if (!site_cached[s]) {
+      site_candidates[s] = network_.BrokerCandidatesBySite(
+          task.gateway_site, site_brokers_, alive);
+      site_cached[s] = 1;
+    }
+    const auto& candidates = site_candidates[s];
     NodeId broker = kNoNode;
-    if (site >= 0 && site < num_sites) {
-      const auto s = static_cast<std::size_t>(site);
-      if (!site_cached[s]) {
-        site_candidates[s] =
-            network_.BrokerCandidatesBySite(site, site_brokers_, alive);
-        site_cached[s] = 1;
-      }
-      const auto& candidates = site_candidates[s];
-      if (!candidates.empty()) {
-        broker = candidates[rng_.Choice(candidates.size())];
-      }
-    } else {
-      // Out-of-range gateway (defensive): the uncached legacy path.
-      broker = network_.RouteToBroker(site, brokers_, alive, rng_);
+    if (!candidates.empty()) {
+      broker = candidates[rng_.Choice(candidates.size())];
     }
     task.broker = broker;  // may be kNoNode -> stays stranded
     if (broker == kNoNode) ++stranded;
@@ -813,20 +811,16 @@ std::string Federation::AuditIncrementalState() const {
       return oss.str();
     }
   }
-  // Cached broker list (routing hot path) against the O(H) scan.
-  if (brokers_ != topology_.brokers()) {
-    oss << "cached broker list diverges from topology_.brokers()";
-    return oss.str();
-  }
-  // Site-grouped view: flattening in ascending site order must give back
-  // brokers_ (sites are ascending contiguous node blocks).
+  // Site-grouped broker view (routing hot path) against the O(H) scan:
+  // flattening in ascending site order must give back
+  // topology_.brokers() (sites are ascending contiguous node blocks).
   {
     std::vector<NodeId> flat;
     for (const auto& group : site_brokers_) {
       flat.insert(flat.end(), group.begin(), group.end());
     }
-    if (flat != brokers_) {
-      oss << "site_brokers_ flattened diverges from cached broker list";
+    if (flat != topology_.brokers()) {
+      oss << "site_brokers_ flattened diverges from topology_.brokers()";
       return oss.str();
     }
   }

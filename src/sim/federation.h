@@ -148,6 +148,9 @@ class Federation {
                              bool build_snapshot = true);
 
   // --- workload ---
+  // Queues the tasks for routing. Throws std::invalid_argument, and
+  // queues none of them, when a task's gateway_site is not a site of
+  // this federation's network.
   void Submit(std::vector<Task> tasks);
   // Tasks routed to a broker but not yet placed on a worker; the
   // underlying scheduler places exactly these.
@@ -280,10 +283,8 @@ class Federation {
   std::vector<int> resident_tasks_;  // ApplyPlacement / MigrateTasksOff /
                                      // completion sweep
   std::vector<int> broker_worker_counts_;  // RefreshTopologyDerived
-  std::vector<NodeId> brokers_;            // RefreshTopologyDerived; same
-                                           // ascending order as
-                                           // topology_.brokers()
-  std::vector<std::vector<NodeId>> site_brokers_;  // brokers_ grouped by
+  std::vector<std::vector<NodeId>> site_brokers_;  // RefreshTopologyDerived;
+                                                   // brokers grouped by
                                                    // gateway site, each
                                                    // group ascending
   std::vector<double> quiet_power_w_;      // RefreshTopologyDerived

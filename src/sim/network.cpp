@@ -138,47 +138,14 @@ bool Network::SiteReachable(int from_site, NodeId node) const {
   return !IsSevered(from_site, site_of(node));
 }
 
-NodeId Network::RouteToBroker(int site, const Topology& topology,
-                              const std::vector<bool>& alive,
-                              common::Rng& rng) const {
-  return RouteToBroker(site, topology.brokers(), alive, rng);
-}
-
-NodeId Network::RouteToBroker(int site, const std::vector<NodeId>& brokers,
-                              const std::vector<bool>& alive,
-                              common::Rng& rng) const {
-  const std::vector<NodeId> candidates = BrokerCandidates(site, brokers, alive);
-  if (candidates.empty()) return kNoNode;
-  return candidates[rng.Choice(candidates.size())];
-}
-
-std::vector<NodeId> Network::BrokerCandidates(
-    int site, const std::vector<NodeId>& brokers,
-    const std::vector<bool>& alive) const {
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<NodeId> candidates;
-  for (NodeId b : brokers) {
-    if (!alive[static_cast<std::size_t>(b)]) continue;
-    if (!SiteReachable(site, b)) continue;
-    const double lat = LatencyFromSite(site, b);
-    if (lat < best - 1e-12) {
-      best = lat;
-      candidates = {b};
-    } else if (lat < best + 1e-12) {
-      candidates.push_back(b);
-    }
-  }
-  return candidates;
-}
-
 std::vector<NodeId> Network::BrokerCandidatesBySite(
     int from_site, const std::vector<std::vector<NodeId>>& site_brokers,
     const std::vector<bool>& alive) const {
   CheckSite(from_site, "Network::BrokerCandidatesBySite");
-  // Same incremental tie logic as BrokerCandidates, one step per site:
+  // The incremental tie logic of a per-broker scan, one step per site:
   // every broker of a site shares its latency, so duplicate per-broker
   // steps collapse to one. A site with no alive broker never enters the
-  // tie evolution, exactly as its brokers never did.
+  // tie evolution, exactly as its brokers never would.
   double best = std::numeric_limits<double>::infinity();
   std::vector<int> winners;
   const int sites = std::min(config_.num_sites,

@@ -44,31 +44,17 @@ class Network {
   // One-way latency from a gateway at `site` to `node`.
   double LatencyFromSite(int site, NodeId node) const;
 
-  // Closest active broker to a gateway at `site` (ties broken uniformly).
-  // `alive` maps NodeId -> liveness. Returns kNoNode if no broker is
-  // alive, or if every alive broker sits across a severed link.
-  NodeId RouteToBroker(int site, const Topology& topology,
-                       const std::vector<bool>& alive,
-                       common::Rng& rng) const;
-  // Same routing over a precomputed ascending broker list — the hot-path
-  // form (Federation caches the list; topology.brokers() is an O(H) scan
-  // that dominated routing at H=4096).
-  NodeId RouteToBroker(int site, const std::vector<NodeId>& brokers,
-                       const std::vector<bool>& alive,
-                       common::Rng& rng) const;
-  // The latency-tie candidate set RouteToBroker draws from, exposed so a
-  // caller routing many tasks from the same gateway can compute it once
-  // per site and keep only the per-task tie-break draw.
-  std::vector<NodeId> BrokerCandidates(int site,
-                                       const std::vector<NodeId>& brokers,
-                                       const std::vector<bool>& alive) const;
-  // Equivalent candidate set computed over site-grouped broker lists
-  // (`site_brokers[s]` = ascending brokers of site s, as Federation
-  // caches them). Latency is a site-level property and sites are
-  // contiguous ascending node blocks, so running the tie logic over
-  // sites and concatenating the winners reproduces BrokerCandidates
-  // exactly — in O(sites + |winners|) instead of O(brokers). Pinned
-  // equal under fuzz in tests/fleet_sparse_test.cpp.
+  // The latency-tie candidate set of a gateway at `site`: the closest
+  // alive, reachable brokers (latency ties within 1e-12), in ascending
+  // id order — routing draws one of them uniformly. Computed over
+  // site-grouped broker lists (`site_brokers[s]` = ascending brokers of
+  // site s, as Federation caches them): latency is a site-level property
+  // and sites are contiguous ascending node blocks, so running the tie
+  // logic over sites and concatenating the winners equals the per-broker
+  // scan in O(sites + |winners|) instead of O(brokers). Empty when no
+  // broker is alive, or every alive broker sits across a severed link.
+  // Pinned equal to the per-broker scan under fuzz in
+  // tests/fleet_sparse_test.cpp.
   std::vector<NodeId> BrokerCandidatesBySite(
       int site, const std::vector<std::vector<NodeId>>& site_brokers,
       const std::vector<bool>& alive) const;

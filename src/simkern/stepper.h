@@ -92,7 +92,6 @@ class IntervalHooks {
 // topology: promote the least-utilized alive orphan of each failed
 // broker (the DYVERSE default), or merge the LEI into another alive
 // broker. Shared by every driver so all apply the exact same guard.
-// (Moved from harness::FallbackRepair, which now forwards here.)
 sim::Topology FallbackRepair(const sim::Topology& topology,
                              const std::vector<sim::NodeId>& failed_brokers,
                              const sim::Federation& federation);

@@ -43,6 +43,23 @@ Task MakeTask(TaskId id, double mi, double mips = 1000.0,
   return t;
 }
 
+// Routes one task from a gateway at `site` the way
+// Federation::RouteQueuedTasks does: the latency-tie candidates over
+// site-grouped brokers, then one uniform tie-break draw (kNoNode when no
+// broker is reachable).
+NodeId RouteFromSite(const Network& net, int site, const Topology& topo,
+                     const std::vector<bool>& alive, common::Rng& rng) {
+  std::vector<std::vector<NodeId>> site_brokers(
+      static_cast<std::size_t>(net.num_sites()));
+  for (NodeId b : topo.brokers()) {
+    site_brokers[static_cast<std::size_t>(net.site_of(b))].push_back(b);
+  }
+  const std::vector<NodeId> candidates =
+      net.BrokerCandidatesBySite(site, site_brokers, alive);
+  if (candidates.empty()) return kNoNode;
+  return candidates[rng.Choice(candidates.size())];
+}
+
 // Runs one full interval with explicit placement.
 IntervalResult RunOne(Federation& fed, const SchedulingDecision& d) {
   fed.BeginInterval();
@@ -341,15 +358,15 @@ TEST(NetworkTest, SiteAssignmentAndLatencies) {
   EXPECT_DOUBLE_EQ(net.LatencyBetween(0, 4), net.LatencyBetween(4, 0));
 }
 
-TEST(NetworkTest, RouteToBrokerPrefersLocalSite) {
+TEST(NetworkTest, RoutePrefersLocalSite) {
   common::Rng rng(2);
   Network net(16, NetworkConfig{}, rng);
   Topology topo = Topology::Initial(16, 4);  // brokers 0,4,8,12
   std::vector<bool> alive(16, true);
-  EXPECT_EQ(net.RouteToBroker(0, topo, alive, rng), 0);
-  EXPECT_EQ(net.RouteToBroker(2, topo, alive, rng), 8);
+  EXPECT_EQ(RouteFromSite(net, 0, topo, alive, rng), 0);
+  EXPECT_EQ(RouteFromSite(net, 2, topo, alive, rng), 8);
   alive[0] = false;
-  const NodeId rerouted = net.RouteToBroker(0, topo, alive, rng);
+  const NodeId rerouted = RouteFromSite(net, 0, topo, alive, rng);
   EXPECT_NE(rerouted, 0);
   EXPECT_TRUE(topo.is_broker(rerouted));
 }
@@ -359,7 +376,24 @@ TEST(NetworkTest, RouteReturnsNoNodeWhenAllDead) {
   Network net(8, NetworkConfig{}, rng);
   Topology topo = Topology::Initial(8, 2);
   std::vector<bool> alive(8, false);
-  EXPECT_EQ(net.RouteToBroker(0, topo, alive, rng), kNoNode);
+  EXPECT_EQ(RouteFromSite(net, 0, topo, alive, rng), kNoNode);
+}
+
+TEST(FederationTest, SubmitRejectsOutOfRangeGatewaySite) {
+  // Routing indexes per-site state by the gateway site: a batch holding
+  // a site the network does not have is refused whole, before any of its
+  // tasks is queued.
+  Federation fed = MakeFederation();
+  fed.Submit({MakeTask(1, 100e3)});
+  ASSERT_EQ(fed.queued_task_count(), 1);
+  Task bad = MakeTask(3, 100e3);
+  bad.gateway_site = fed.network().num_sites();
+  EXPECT_THROW(fed.Submit({MakeTask(2, 100e3), bad}),
+               std::invalid_argument);
+  EXPECT_EQ(fed.queued_task_count(), 1);
+  bad.gateway_site = -1;
+  EXPECT_THROW(fed.Submit({bad}), std::invalid_argument);
+  EXPECT_EQ(fed.queued_task_count(), 1);
 }
 
 TEST(SchedulerTest, LeastUtilizationBalancesLoad) {

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -652,6 +653,29 @@ TEST(IncrementalState, AuditStaysCleanUnderRandomOps) {
 // random broker placements, dead nodes, and severed links. The order
 // matters because the tie-break Choice indexes into the list.
 
+// The oracle: a per-broker scan over every alive broker reachable from
+// `site`, in the given ascending order, keeping those within 1e-12 of the
+// best gateway latency.
+std::vector<sim::NodeId> BrokerCandidatesByScan(
+    const sim::Network& net, int site,
+    const std::vector<sim::NodeId>& brokers,
+    const std::vector<bool>& alive) {
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<sim::NodeId> candidates;
+  for (sim::NodeId b : brokers) {
+    if (!alive[static_cast<std::size_t>(b)]) continue;
+    if (!net.SiteReachable(site, b)) continue;
+    const double lat = net.LatencyFromSite(site, b);
+    if (lat < best - 1e-12) {
+      best = lat;
+      candidates = {b};
+    } else if (lat < best + 1e-12) {
+      candidates.push_back(b);
+    }
+  }
+  return candidates;
+}
+
 TEST(Routing, SiteGroupedCandidatesMatchPerBrokerScanUnderFuzz) {
   common::Rng fuzz(20260808);
   for (int trial = 0; trial < 200; ++trial) {
@@ -690,7 +714,7 @@ TEST(Routing, SiteGroupedCandidatesMatchPerBrokerScanUnderFuzz) {
     }
 
     for (int site = 0; site < num_sites; ++site) {
-      const auto scan = net.BrokerCandidates(site, brokers, alive);
+      const auto scan = BrokerCandidatesByScan(net, site, brokers, alive);
       const auto grouped =
           net.BrokerCandidatesBySite(site, site_brokers, alive);
       ASSERT_EQ(grouped, scan)
@@ -725,7 +749,7 @@ TEST(Routing, SiteGroupedCandidatesAtH512UnderActivePartitions) {
 
   auto expect_paths_agree = [&](const char* stage) {
     for (int site = 0; site < num_sites; ++site) {
-      const auto scan = net.BrokerCandidates(site, brokers, alive);
+      const auto scan = BrokerCandidatesByScan(net, site, brokers, alive);
       const auto grouped =
           net.BrokerCandidatesBySite(site, site_brokers, alive);
       ASSERT_EQ(grouped, scan) << stage << " gateway_site=" << site;

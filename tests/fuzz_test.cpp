@@ -68,7 +68,9 @@ TEST_P(NeighborhoodFuzzTest, NeighborhoodsValidUnderRandomLiveness) {
     for (std::size_t i = 0; i < alive.size(); ++i) {
       alive[i] = rng.Bernoulli(0.8);
     }
-    for (const auto& t : core::LocalNeighbors(topo, alive)) {
+    sim::Topology t;
+    for (const core::LocalMove& move : core::LocalMoves(topo, alive)) {
+      core::ApplyLocalMove(topo, move, t);
       ASSERT_TRUE(t.IsValid());
     }
     const auto bs = topo.brokers();

@@ -15,9 +15,7 @@
 #include "common/rng.h"
 #include "core/encoder.h"
 #include "core/gon.h"
-#include "core/node_shift.h"
 #include "core/pot.h"
-#include "core/tabu.h"
 #include "nn/autograd.h"
 #include "nn/kernels.h"
 #include "nn/layers.h"
@@ -471,42 +469,6 @@ TEST(GonBatchTest, MixedHostCountsAreBucketedByH) {
   for (std::size_t i = 0; i < states.size(); ++i) {
     EXPECT_NEAR(batch[i], gon.Discriminate(states[i]), 1e-12);
   }
-}
-
-// --- tabu batch objective -------------------------------------------------
-
-TEST(TabuBatchTest, BatchObjectiveMatchesSequential) {
-  const sim::Topology start = sim::Topology::Initial(12, 3);
-  std::vector<bool> alive(12, true);
-  auto neighbors = [&](const sim::Topology& g) {
-    return core::LocalNeighbors(g, alive, {});
-  };
-  // A deterministic synthetic objective with real structure.
-  auto score_one = [](const sim::Topology& g) {
-    double s = 0.0;
-    for (sim::NodeId b : g.brokers()) {
-      const double load = static_cast<double>(g.workers_of(b).size());
-      s += load * load + 0.1 * static_cast<double>(b);
-    }
-    return s / static_cast<double>(g.num_nodes());
-  };
-
-  core::TabuSearch seq;
-  const sim::Topology best_seq = seq.Optimize(start, neighbors, score_one);
-
-  core::TabuSearch bat;
-  const sim::Topology best_bat = bat.Optimize(
-      start, neighbors,
-      core::TabuSearch::BatchObjectiveFn(
-          [&](const std::vector<sim::Topology>& frontier) {
-            std::vector<double> scores;
-            for (const auto& g : frontier) scores.push_back(score_one(g));
-            return scores;
-          }));
-
-  EXPECT_EQ(best_seq.Hash(), best_bat.Hash());
-  EXPECT_EQ(seq.evaluations(), bat.evaluations());
-  EXPECT_DOUBLE_EQ(seq.best_score(), bat.best_score());
 }
 
 // --- POT batch update -----------------------------------------------------

@@ -11,6 +11,36 @@ namespace {
 
 std::vector<bool> AllAlive(int n) { return std::vector<bool>(n, true); }
 
+// Every LocalMoves record applied to `g`, in enumeration order.
+std::vector<sim::Topology> MaterializeLocalMoves(
+    const sim::Topology& g, const std::vector<bool>& alive,
+    const NodeShiftOptions& options = {}) {
+  const std::vector<LocalMove> moves = LocalMoves(g, alive, options);
+  std::vector<sim::Topology> neighbors(moves.size());
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    ApplyLocalMove(g, moves[i], neighbors[i]);
+  }
+  return neighbors;
+}
+
+// Drives a TabuSearchState over the node-shift neighborhood to
+// completion, scoring one candidate at a time with `objective`.
+template <typename Objective>
+TabuSearchState RunTabu(const TabuConfig& config, const sim::Topology& start,
+                        const std::vector<bool>& alive,
+                        const Objective& objective) {
+  TabuSearchState search(config, start,
+                         LocalMoveNeighbors(alive, NodeShiftOptions{}));
+  while (!search.done()) {
+    std::vector<double> scores;
+    for (const sim::Topology& g : search.ProposeFrontier()) {
+      scores.push_back(objective(g));
+    }
+    search.Advance(scores);
+  }
+  return search;
+}
+
 TEST(NodeShiftTest, FailureNeighborsDemoteFailedBroker) {
   const sim::Topology g = sim::Topology::Initial(16, 4);  // brokers 0,4,8,12
   std::vector<bool> alive = AllAlive(16);
@@ -82,7 +112,7 @@ TEST(NodeShiftTest, Type1SplitsOrphansEvenly) {
 
 TEST(NodeShiftTest, LocalNeighborsValidAndDiverse) {
   const sim::Topology g = sim::Topology::Initial(16, 4);
-  const auto neighbors = LocalNeighbors(g, AllAlive(16));
+  const auto neighbors = MaterializeLocalMoves(g, AllAlive(16));
   ASSERT_GT(neighbors.size(), 10u);
   std::set<int> broker_counts;
   std::set<std::size_t> hashes;
@@ -104,7 +134,7 @@ TEST(NodeShiftTest, LocalNeighborsRespectCaps) {
   options.max_reassignments = 3;
   options.include_demotions = false;
   const sim::Topology g = sim::Topology::Initial(16, 4);
-  const auto neighbors = LocalNeighbors(g, AllAlive(16), options);
+  const auto neighbors = MaterializeLocalMoves(g, AllAlive(16), options);
   int reassignments = 0;
   for (const auto& t : neighbors) {
     if (t.broker_count() == 4) ++reassignments;
@@ -117,28 +147,24 @@ TEST(TabuTest, FindsMinimumOfBrokerCountObjective) {
   // Objective: |brokers - 3|; from a 1-broker start the search should
   // reach exactly 3 brokers via promotions.
   const sim::Topology start = sim::Topology::Initial(12, 1);
-  TabuSearch search(TabuConfig{.max_iterations = 8});
   const auto alive = AllAlive(12);
-  const sim::Topology best = search.Optimize(
-      start,
-      [&](const sim::Topology& g) { return LocalNeighbors(g, alive); },
-      [](const sim::Topology& g) {
-        return std::abs(g.broker_count() - 3);
-      });
-  EXPECT_EQ(best.broker_count(), 3);
+  const TabuSearchState search =
+      RunTabu(TabuConfig{.max_iterations = 8}, start, alive,
+              [](const sim::Topology& g) {
+                return std::abs(g.broker_count() - 3);
+              });
+  EXPECT_EQ(search.best().broker_count(), 3);
   EXPECT_GT(search.evaluations(), 1);
 }
 
 TEST(TabuTest, RespectsEvaluationBudget) {
   TabuConfig cfg;
   cfg.max_evaluations = 10;
-  TabuSearch search(cfg);
   const sim::Topology start = sim::Topology::Initial(16, 4);
   const auto alive = AllAlive(16);
-  search.Optimize(
-      start,
-      [&](const sim::Topology& g) { return LocalNeighbors(g, alive); },
-      [](const sim::Topology& g) { return g.broker_count(); });
+  const TabuSearchState search =
+      RunTabu(cfg, start, alive,
+              [](const sim::Topology& g) { return g.broker_count(); });
   EXPECT_LE(search.evaluations(), 10);
 }
 
@@ -148,16 +174,13 @@ TEST(TabuTest, TabuListPreventsCycles) {
   TabuConfig cfg;
   cfg.max_iterations = 50;
   cfg.tabu_list_size = 100;
-  TabuSearch search(cfg);
   const sim::Topology start = sim::Topology::Initial(8, 2);
   const auto alive = AllAlive(8);
-  const sim::Topology best = search.Optimize(
-      start,
-      [&](const sim::Topology& g) { return LocalNeighbors(g, alive); },
-      [](const sim::Topology& g) {
+  const TabuSearchState search =
+      RunTabu(cfg, start, alive, [](const sim::Topology& g) {
         return g.broker_count() % 2 == 0 ? 1.0 : 2.0;
       });
-  EXPECT_TRUE(best.IsValid());
+  EXPECT_TRUE(search.best().IsValid());
   // Bounded evaluations prove termination despite the cyclic landscape.
   EXPECT_LE(search.evaluations(), cfg.max_evaluations);
 }
@@ -166,34 +189,29 @@ TEST(TabuTest, DeterministicAcrossRuns) {
   const sim::Topology start = sim::Topology::Initial(16, 4);
   const auto alive = AllAlive(16);
   auto run = [&]() {
-    TabuSearch search;
-    return search
-        .Optimize(start,
-                  [&](const sim::Topology& g) {
-                    return LocalNeighbors(g, alive);
-                  },
-                  [](const sim::Topology& g) {
-                    // Prefer balanced LEIs.
-                    double imb = 0.0;
-                    for (sim::NodeId b : g.brokers()) {
-                      imb += std::abs(
-                          static_cast<double>(g.workers_of(b).size()) - 3.0);
-                    }
-                    return imb;
-                  })
+    return RunTabu(TabuConfig{}, start, alive,
+                   [](const sim::Topology& g) {
+                     // Prefer balanced LEIs.
+                     double imb = 0.0;
+                     for (sim::NodeId b : g.brokers()) {
+                       imb += std::abs(
+                           static_cast<double>(g.workers_of(b).size()) -
+                           3.0);
+                     }
+                     return imb;
+                   })
+        .best()
         .Hash();
   };
   EXPECT_EQ(run(), run());
 }
 
 TEST(TabuTest, BestScoreTracked) {
-  TabuSearch search;
   const sim::Topology start = sim::Topology::Initial(8, 2);
   const auto alive = AllAlive(8);
-  search.Optimize(
-      start,
-      [&](const sim::Topology& g) { return LocalNeighbors(g, alive); },
-      [](const sim::Topology& g) { return g.broker_count(); });
+  const TabuSearchState search =
+      RunTabu(TabuConfig{}, start, alive,
+              [](const sim::Topology& g) { return g.broker_count(); });
   EXPECT_LE(search.best_score(), 2.0);  // at least as good as the start
 }
 

@@ -3,13 +3,14 @@
 // eager implementations (batch tabu loop, eager neighborhood
 // enumeration, blocking per-broker repair loop), so these tests are not
 // circular: if the step-driven state machines ever drift from the
-// original algorithm, they fail — regardless of what the production
-// wrappers now route through.
+// original algorithm, they fail — regardless of what PlanDecision and
+// the serving layer route through.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <unordered_set>
 
@@ -43,6 +44,12 @@ std::vector<double> ToyScores(const std::vector<sim::Topology>& frontier) {
 }
 
 // --- reference implementations (pre-refactor copies) --------------------
+
+// The callback shapes of the OLD one-shot tabu search.
+using ReferenceNeighborFn =
+    std::function<std::vector<sim::Topology>(const sim::Topology&)>;
+using ReferenceBatchObjectiveFn =
+    std::function<std::vector<double>(const std::vector<sim::Topology>&)>;
 
 // The OLD eager LocalNeighbors enumeration, copied from the seed
 // node_shift.cpp (including its trailing validity filter).
@@ -102,8 +109,8 @@ struct ReferenceTabuResult {
 
 ReferenceTabuResult ReferenceTabu(
     const TabuConfig& config, const sim::Topology& start,
-    const TabuSearch::NeighborFn& neighbors,
-    const TabuSearch::BatchObjectiveFn& objective) {
+    const ReferenceNeighborFn& neighbors,
+    const ReferenceBatchObjectiveFn& objective) {
   std::deque<std::size_t> tabu_order;
   std::unordered_set<std::size_t> tabu_set;
   auto push_tabu = [&](std::size_t hash) {
@@ -168,7 +175,7 @@ sim::Topology ReferencePlanRepair(
     const sim::Topology& current,
     const std::vector<sim::NodeId>& failed_brokers,
     const sim::SystemSnapshot& snapshot, const CarolConfig& config,
-    common::Rng& rng, const TabuSearch::BatchObjectiveFn& score) {
+    common::Rng& rng, const ReferenceBatchObjectiveFn& score) {
   sim::Topology topo = current;
   std::vector<bool> alive = snapshot.alive;
   if (alive.size() != static_cast<std::size_t>(topo.num_nodes())) {
@@ -223,6 +230,19 @@ sim::SystemSnapshot MakeFailureSnapshot(
 
 // --- move-record neighborhoods ------------------------------------------
 
+// Every LocalMoves record applied to `g`, in enumeration order — the
+// eager neighborhood the lazy frontier materializes one by one.
+std::vector<sim::Topology> MaterializeLocalMoves(
+    const sim::Topology& g, const std::vector<bool>& alive,
+    const NodeShiftOptions& options) {
+  const std::vector<LocalMove> moves = LocalMoves(g, alive, options);
+  std::vector<sim::Topology> neighbors(moves.size());
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    ApplyLocalMove(g, moves[i], neighbors[i]);
+  }
+  return neighbors;
+}
+
 TEST(LocalMovesTest, MaterializeToSeedStyleEnumeration) {
   const NodeShiftOptions options;
   for (const auto& [hosts, brokers] : std::vector<std::pair<int, int>>{
@@ -233,7 +253,7 @@ TEST(LocalMovesTest, MaterializeToSeedStyleEnumeration) {
     const std::vector<sim::Topology> expected =
         ReferenceLocalNeighbors(g, alive, options);
     const std::vector<sim::Topology> actual =
-        LocalNeighbors(g, alive, options);
+        MaterializeLocalMoves(g, alive, options);
     ASSERT_EQ(actual.size(), expected.size()) << hosts << "x" << brokers;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_TRUE(actual[i] == expected[i])
@@ -250,7 +270,7 @@ TEST(LocalMovesTest, RespectsCapsLikeSeedEnumeration) {
   const sim::Topology g = sim::Topology::Initial(16, 4);
   const auto alive = AllAlive(16);
   const auto expected = ReferenceLocalNeighbors(g, alive, options);
-  const auto actual = LocalNeighbors(g, alive, options);
+  const auto actual = MaterializeLocalMoves(g, alive, options);
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_TRUE(actual[i] == expected[i]) << i;
@@ -263,7 +283,7 @@ TEST(LocalMovesTest, LazyMaterializationBuildsOnlyRequestedCandidates) {
   const NodeShiftOptions options;
   const LazyNeighborFn lazy = LocalMoveNeighbors(alive, options);
   const LazyFrontier frontier = lazy(g);
-  const auto eager = LocalNeighbors(g, alive, options);
+  const auto eager = MaterializeLocalMoves(g, alive, options);
   ASSERT_EQ(frontier.count, eager.size());
   // Materialize a sparse subset out of a reused scratch topology.
   sim::Topology scratch;
@@ -283,7 +303,7 @@ TEST(TabuStateTest, StepByStepReproducesReferenceRun) {
     const sim::Topology start = sim::Topology::Initial(12, 2);
     const auto alive = AllAlive(12);
     const auto neighbor_fn = [&](const sim::Topology& g) {
-      return LocalNeighbors(g, alive, NodeShiftOptions{});
+      return ReferenceLocalNeighbors(g, alive, NodeShiftOptions{});
     };
     const ReferenceTabuResult expected =
         ReferenceTabu(config, start, neighbor_fn, ToyScores);
@@ -303,24 +323,6 @@ TEST(TabuStateTest, StepByStepReproducesReferenceRun) {
     EXPECT_EQ(state.best_score(), expected.best_score);
     EXPECT_EQ(state.evaluations(), expected.evaluations);
   }
-}
-
-TEST(TabuStateTest, OneShotWrapperMatchesState) {
-  const sim::Topology start = sim::Topology::Initial(16, 4);
-  const auto alive = AllAlive(16);
-  TabuSearch search;
-  const sim::Topology via_wrapper = search.Optimize(
-      start,
-      [&](const sim::Topology& g) { return LocalNeighbors(g, alive); },
-      TabuSearch::BatchObjectiveFn(ToyScores));
-
-  TabuSearchState state(TabuConfig{}, start,
-                        LocalMoveNeighbors(alive, NodeShiftOptions{}));
-  while (!state.done()) state.Advance(ToyScores(state.ProposeFrontier()));
-
-  EXPECT_TRUE(via_wrapper == state.best());
-  EXPECT_EQ(search.best_score(), state.best_score());
-  EXPECT_EQ(search.evaluations(), state.evaluations());
 }
 
 TEST(TabuStateTest, FirstFrontierIsTheIncumbent) {
@@ -373,22 +375,21 @@ TEST(RepairJobTest, ReproducesReferencePlanRepair) {
   EXPECT_EQ(job_rng.Choice(1000), reference_rng.Choice(1000));
 }
 
-TEST(RepairJobTest, OneShotWrappersMatchStepDriving) {
+TEST(RepairJobTest, PlanDecisionMatchesStepDriving) {
   const CarolConfig config;
   const std::vector<sim::NodeId> failed = {0};
   const sim::SystemSnapshot snap = MakeFailureSnapshot(16, 4, failed);
 
   common::Rng rng_a(11);
-  const sim::Topology via_wrapper =
-      PlanRepair(snap.topology, failed, snap, config, rng_a,
-                 TopologyBatchScoreFn(ToyScores));
+  const sim::Topology via_plan =
+      PlanDecision(snap.topology, failed, snap, config, rng_a,
+                   TopologyBatchScoreFn(ToyScores));
 
   common::Rng rng_b(11);
-  RepairJob job(snap.topology, failed, snap, config, &rng_b,
-                RepairJob::Mode::kRepairOnly);
+  RepairJob job(snap.topology, failed, snap, config, &rng_b);
   while (!job.done()) job.Advance(ToyScores(job.ProposeFrontier()));
 
-  EXPECT_TRUE(via_wrapper == job.result());
+  EXPECT_TRUE(via_plan == job.result());
 }
 
 TEST(RepairJobTest, InterleavedJobsMatchSoloRuns) {

@@ -10,7 +10,6 @@
 
 #include "common/rng.h"
 #include "faults/detector.h"
-#include "harness/runtime.h"
 #include "scenario/compile.h"
 #include "scenario/driver.h"
 #include "scenario/library.h"
@@ -19,6 +18,7 @@
 #include "sim/federation.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
+#include "simkern/stepper.h"
 
 namespace carol::scenario {
 namespace {
@@ -307,6 +307,24 @@ TEST(LibraryTest, FindScenarioByName) {
 
 // --- partition + recovery semantics (sim layer) ---------------------------
 
+// Routes one task from a gateway at `site` the way
+// Federation::RouteQueuedTasks does: the latency-tie candidates over
+// site-grouped brokers, then one uniform tie-break draw (kNoNode when no
+// broker is reachable).
+sim::NodeId RouteFromSite(const sim::Network& net, int site,
+                          const sim::Topology& topo,
+                          const std::vector<bool>& alive, common::Rng& rng) {
+  std::vector<std::vector<sim::NodeId>> site_brokers(
+      static_cast<std::size_t>(net.num_sites()));
+  for (sim::NodeId b : topo.brokers()) {
+    site_brokers[static_cast<std::size_t>(net.site_of(b))].push_back(b);
+  }
+  const std::vector<sim::NodeId> candidates =
+      net.BrokerCandidatesBySite(site, site_brokers, alive);
+  if (candidates.empty()) return sim::kNoNode;
+  return candidates[rng.Choice(candidates.size())];
+}
+
 sim::Federation SingleBrokerFederation(int nodes = 16) {
   return sim::Federation(sim::ScaledTestbedSpecs(nodes),
                          sim::Topology(nodes), sim::SimConfig{},
@@ -318,15 +336,15 @@ TEST(PartitionTest, SeveredSiteCannotRouteAndHealsBack) {
   common::Rng rng(4);
   const auto alive = fed.AliveVector();
   sim::Network& net = fed.mutable_network();
-  EXPECT_EQ(net.RouteToBroker(1, fed.topology(), alive, rng), 0);
+  EXPECT_EQ(RouteFromSite(net, 1, fed.topology(), alive, rng), 0);
   net.SeverSite(1);
   EXPECT_FALSE(net.SiteReachable(1, 0));
-  EXPECT_EQ(net.RouteToBroker(1, fed.topology(), alive, rng),
+  EXPECT_EQ(RouteFromSite(net, 1, fed.topology(), alive, rng),
             sim::kNoNode);
   // Intra-site routing is unaffected.
-  EXPECT_EQ(net.RouteToBroker(0, fed.topology(), alive, rng), 0);
+  EXPECT_EQ(RouteFromSite(net, 0, fed.topology(), alive, rng), 0);
   net.HealSite(1);
-  EXPECT_EQ(net.RouteToBroker(1, fed.topology(), alive, rng), 0);
+  EXPECT_EQ(RouteFromSite(net, 1, fed.topology(), alive, rng), 0);
 }
 
 TEST(PartitionTest, OverlappingCutsAreRefcounted) {
@@ -469,7 +487,7 @@ TEST(PartitionTest, ByzantineHangOverlappingPartition) {
   const faults::DetectionReport report = detector.Detect(fed);
   ASSERT_EQ(report.failed_brokers, (std::vector<sim::NodeId>{0}));
 
-  const sim::Topology repaired = harness::FallbackRepair(
+  const sim::Topology repaired = simkern::FallbackRepair(
       fed.topology(), report.failed_brokers, fed);
   ASSERT_TRUE(repaired.IsValid());
   EXPECT_FALSE(repaired.is_broker(0));
@@ -482,7 +500,7 @@ TEST(PartitionTest, ByzantineHangOverlappingPartition) {
   const int broker_site = fed.network().site_of(new_broker);
   const auto alive = fed.AliveVector();
   const sim::NodeId from_cut =
-      fed.network().RouteToBroker(1, repaired, alive, rng);
+      RouteFromSite(fed.network(), 1, repaired, alive, rng);
   if (broker_site == 1) {
     EXPECT_EQ(from_cut, new_broker);
   } else {
@@ -498,8 +516,8 @@ TEST(PartitionTest, ByzantineHangOverlappingPartition) {
   const sim::StepInfo step = fed.BeginInterval();  // now_s=600 >= 450
   EXPECT_EQ(step.recovered, (std::vector<sim::NodeId>{0}));
   for (int site = 0; site < fed.network().num_sites(); ++site) {
-    EXPECT_NE(fed.network().RouteToBroker(site, repaired,
-                                          fed.AliveVector(), rng),
+    EXPECT_NE(RouteFromSite(fed.network(), site, repaired,
+                            fed.AliveVector(), rng),
               sim::kNoNode);
   }
 }

@@ -569,5 +569,92 @@ TEST(ServiceSnapshotTest, RestoreRejectsCorruptImage) {
                common::BinaryFormatError);
 }
 
+TEST(ServiceSnapshotTest, RestoreRejectsUnsteppableParkedRepair) {
+  // A parked repair resumes by scoring its job's proposed frontier. A job
+  // state RepairJob cannot step from must fail the restore with a typed
+  // error: restored, the re-issued request would read an empty frontier.
+  // Each image is a one-session image whose final "no parked repair"
+  // byte is replaced by a parked tail in the session format.
+  const ServiceConfig cfg = TinyServiceConfig(1);
+  std::string bytes;
+  {
+    ResilienceService service(cfg);
+    FederationSpec spec;
+    spec.carol = TinyCarolConfig();
+    service.OpenSession(spec);
+    service.BeginDrain();
+    service.WaitDrained();
+    std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
+    service.SaveSnapshot(image);
+    bytes = image.str();
+  }
+  ASSERT_EQ(bytes.back(), '\0');
+
+  // A real parked state to corrupt: a repair job at its first frontier.
+  const core::CarolConfig carol = TinyCarolConfig();
+  const sim::SystemSnapshot snap = MakeFailureSnapshot(0.5, 12, 3);
+  const std::vector<sim::NodeId> failed = {0};
+  common::Rng rng(5);
+  const core::RepairJob job(snap.topology, failed, snap, carol, &rng);
+  const core::RepairJobState healthy = job.SaveState();
+  ASSERT_EQ(healthy.phase, 0);
+  ASSERT_TRUE(healthy.has_search);
+  ASSERT_TRUE(healthy.search.start_pending);
+
+  auto restore = [&](const core::RepairJobState& s) {
+    std::stringstream tail(std::ios::out | std::ios::binary);
+    common::BinaryWriter w(tail);
+    w.Bool(true);  // a parked repair follows
+    w.Ints(snap.topology.assignment());
+    w.Ints(failed);
+    w.Bools(s.alive);
+    w.Ints(s.topo);
+    w.U64(s.broker_idx);
+    w.I32(s.phase);
+    w.Bool(s.proactive_acted);
+    w.U64(s.baseline.size());
+    for (const std::vector<sim::NodeId>& g : s.baseline) w.Ints(g);
+    w.Bool(s.has_search);
+    if (s.has_search) {
+      w.Ints(s.search.current);
+      w.Ints(s.search.best);
+      w.F64(s.search.best_score);
+      w.Ints(s.search.tabu);
+      w.U64(s.search.frontier.size());
+      for (const std::vector<sim::NodeId>& g : s.search.frontier) w.Ints(g);
+      w.I32(s.search.evaluations);
+      w.I32(s.search.iter);
+      w.Bool(s.search.start_pending);
+      w.Bool(s.search.done);
+    }
+    w.Bool(false);  // unscoped
+    std::stringstream image(bytes.substr(0, bytes.size() - 1) + tail.str(),
+                            std::ios::in | std::ios::binary);
+    ResilienceService restored(cfg, image);
+  };
+  // The healthy tail restores: the format above is the session's own.
+  EXPECT_NO_THROW(restore(healthy));
+
+  core::RepairJobState no_search = healthy;  // search phase, no search
+  no_search.has_search = false;
+  EXPECT_THROW(restore(no_search), common::BinaryFormatError);
+
+  core::RepairJobState empty_frontier = healthy;  // not done, no frontier
+  empty_frontier.search.frontier.clear();
+  EXPECT_THROW(restore(empty_frontier), common::BinaryFormatError);
+
+  core::RepairJobState wide_start = healthy;  // start frontier != {current}
+  wide_start.search.frontier.push_back(wide_start.search.current);
+  EXPECT_THROW(restore(wide_start), common::BinaryFormatError);
+
+  core::RepairJobState finished_search = healthy;  // search phase, done
+  finished_search.search.done = true;
+  EXPECT_THROW(restore(finished_search), common::BinaryFormatError);
+
+  core::RepairJobState bad_baseline = healthy;  // baseline phase, none
+  bad_baseline.phase = 2;
+  EXPECT_THROW(restore(bad_baseline), common::BinaryFormatError);
+}
+
 }  // namespace
 }  // namespace carol::serve
