@@ -239,15 +239,20 @@ double RunScopedRepairCase(int hosts, int reps) {
     const std::vector<sim::NodeId> brokers = fed.topology().brokers();
     const int repairs = 8;
     const auto t0 = clock_type::now();
+    const core::TopologyBatchScoreFn score =
+        [&](const std::vector<sim::Topology>& frontier,
+            const sim::SystemSnapshot& scoring) {
+          return core::ScoreTopologiesWith(gon, encoder, cfg.alpha, cfg.beta,
+                                           frontier, scoring);
+        };
     for (int k = 0; k < repairs; ++k) {
       const std::vector<sim::NodeId> failed = {
           brokers[static_cast<std::size_t>(k) % brokers.size()]};
-      const std::vector<sim::NodeId> hints =
-          simkern::RepairScopeHints(fed, failed);
+      const core::RepairScope scoped{scope,
+                                     simkern::RepairScopeHints(fed, failed)};
       g_sink += static_cast<double>(
-          core::PlanScopedDecision(fed.topology(), failed,
-                                   fed.last_snapshot(), hints, scope, cfg,
-                                   plan_rng, gon, encoder)
+          core::PlanDecision(fed.topology(), failed, fed.last_snapshot(),
+                             cfg, plan_rng, score, &scoped)
               .Hash() &
           1u);
     }
@@ -282,12 +287,18 @@ class QosHooks : public simkern::IntervalHooks {
       return simkern::FallbackRepair(ctx.fed->topology(),
                                      ctx.report->failed_brokers, *ctx.fed);
     }
-    const std::vector<sim::NodeId> hints =
-        simkern::RepairScopeHints(*ctx.fed, ctx.report->failed_brokers);
-    return core::PlanScopedDecision(
+    const core::RepairScope scope{
+        scope_,
+        simkern::RepairScopeHints(*ctx.fed, ctx.report->failed_brokers)};
+    return core::PlanDecision(
         ctx.fed->topology(), ctx.report->failed_brokers,
-        ctx.fed->last_snapshot(), hints, scope_, cfg_, plan_rng_, gon_,
-        encoder_);
+        ctx.fed->last_snapshot(), cfg_, plan_rng_,
+        [this](const std::vector<sim::Topology>& frontier,
+               const sim::SystemSnapshot& scoring) {
+          return core::ScoreTopologiesWith(gon_, encoder_, cfg_.alpha,
+                                           cfg_.beta, frontier, scoring);
+        },
+        &scope);
   }
 
   void InjectFaults(simkern::StepContext& ctx) override {

@@ -46,7 +46,7 @@ class BalanceFirstPolicy : public core::ResilienceModel {
       // hand-written objective until the search is done.
       core::TabuSearchState search(
           core::TabuConfig{.max_iterations = 5, .max_evaluations = 80},
-          repairs.front(), core::LocalMoveNeighbors(alive, {}));
+          repairs.front(), alive, core::NodeShiftOptions{});
       while (!search.done()) {
         std::vector<double> scores;
         for (const sim::Topology& g : search.ProposeFrontier()) {

@@ -3,7 +3,8 @@
 // (whose RunInterval always steps event-driven), an open-loop
 // million-device arrival stream, and a broker fault storm repaired by
 // the REAL decision path: a subgraph-extracted GON/tabu repair
-// (core::PlanScopedDecision) planning on the affected region only.
+// (core::PlanDecision with a RepairScope) planning on the affected region
+// only.
 //
 // What this demonstrates (and what CI smoke-checks):
 //   * the large-fleet tier is usable end to end: H=4096 steps in
@@ -92,12 +93,18 @@ class MassiveFleetHooks : public simkern::IntervalHooks {
     // hints), run the GON-scored tabu search on the H_sub problem, and
     // splice the decision back. An invalid result would fall through to
     // the stepper's FallbackRepair guard like any other driver.
-    const std::vector<sim::NodeId> hints =
-        simkern::RepairScopeHints(*ctx.fed, ctx.report->failed_brokers);
-    return core::PlanScopedDecision(
+    const core::RepairScope scope{
+        scope_,
+        simkern::RepairScopeHints(*ctx.fed, ctx.report->failed_brokers)};
+    return core::PlanDecision(
         ctx.fed->topology(), ctx.report->failed_brokers,
-        ctx.fed->last_snapshot(), hints, scope_, config_, planner_rng_,
-        gon_, encoder_);
+        ctx.fed->last_snapshot(), config_, planner_rng_,
+        [this](const std::vector<sim::Topology>& frontier,
+               const sim::SystemSnapshot& scoring) {
+          return core::ScoreTopologiesWith(gon_, encoder_, config_.alpha,
+                                           config_.beta, frontier, scoring);
+        },
+        &scope);
   }
 
   void InjectFaults(simkern::StepContext& ctx) override {

@@ -26,7 +26,8 @@ sim::Topology PlanWithSurrogate(
   config.tabu = tabu;
   return core::PlanDecision(
       current, failed_brokers, snapshot, config, rng,
-      [&](const std::vector<sim::Topology>& frontier) {
+      [&](const std::vector<sim::Topology>& frontier,
+          const sim::SystemSnapshot&) {
         std::vector<double> scores;
         scores.reserve(frontier.size());
         for (const sim::Topology& g : frontier) {

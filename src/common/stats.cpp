@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace carol::common {
 
@@ -54,6 +55,7 @@ void Ema::Add(double x) {
 }
 
 double Percentile(std::span<const double> values, double p) {
+  if (std::isnan(p)) throw std::invalid_argument("Percentile: p is NaN");
   if (values.empty()) return 0.0;
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());

@@ -46,8 +46,9 @@ class Ema {
   bool initialized_ = false;
 };
 
-// Linear-interpolation percentile of a sample (p in [0,100]).
-// Returns 0 for an empty sample.
+// Linear-interpolation percentile of a sample (p clamped to [0,100]).
+// Returns 0 for an empty sample; throws std::invalid_argument for a NaN
+// p, which has no rank.
 double Percentile(std::span<const double> values, double p);
 
 // Arithmetic mean; 0 for an empty sample.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/log.h"
-#include "core/subgraph.h"
 
 namespace carol::core {
 
@@ -62,6 +61,16 @@ std::vector<double> ScoreTopologiesWith(
   return ScoreEncoded(gon, contexts, alpha, beta);
 }
 
+// --- the resumable repair pipeline --------------------------------------
+
+namespace {
+
+const std::vector<sim::Topology> kEmptyFrontier;
+
+// Snapshot alive flags for `topo`, falling back to all-alive when the
+// snapshot does not cover the topology's node range. The one liveness
+// convention of the repair path: the scoped extraction and the candidate
+// roles both start from it.
 std::vector<bool> AliveForTopology(const sim::SystemSnapshot& snapshot,
                                    const sim::Topology& topo) {
   std::vector<bool> alive = snapshot.alive;
@@ -71,26 +80,79 @@ std::vector<bool> AliveForTopology(const sim::SystemSnapshot& snapshot,
   return alive;
 }
 
-// --- the resumable repair pipeline --------------------------------------
-
-namespace {
-
-const std::vector<sim::Topology> kEmptyFrontier;
-
 }  // namespace
 
 RepairJob::RepairJob(const sim::Topology& current,
                      const std::vector<sim::NodeId>& failed_brokers,
                      const sim::SystemSnapshot& snapshot,
+                     const CarolConfig& config, common::Rng* rng,
+                     const RepairScope* scope, const RepairJobState* resume)
+    : RepairJob(current, failed_brokers, snapshot, config, rng,
+                scope != nullptr ? std::span<const sim::NodeId>(scope->hints)
+                                 : std::span<const sim::NodeId>(),
+                scope != nullptr ? &scope->options : nullptr, resume) {}
+
+RepairJob::RepairJob(const sim::Topology& current,
+                     const std::vector<sim::NodeId>& failed_brokers,
+                     const sim::SystemSnapshot& snapshot,
+                     std::span<const sim::NodeId> hints,
+                     const ScopedRepairOptions& options,
                      const CarolConfig& config, common::Rng* rng)
-    : failed_(&failed_brokers),
+    : RepairJob(current, failed_brokers, snapshot, config, rng, hints,
+                &options, nullptr) {}
+
+RepairJob::RepairJob(const sim::Topology& current,
+                     const std::vector<sim::NodeId>& failed_brokers,
+                     const sim::SystemSnapshot& snapshot,
+                     const CarolConfig& config, common::Rng* rng,
+                     std::span<const sim::NodeId> hints,
+                     const ScopedRepairOptions* options,
+                     const RepairJobState* resume)
+    : current_(&current),
+      snapshot_(&snapshot),
+      failed_(&failed_brokers),
       config_(&config),
-      rng_(rng),
-      topo_(current) {
-  if (!failed_brokers.empty()) {
-    alive_ = AliveForTopology(snapshot, topo_);
+      rng_(rng) {
+  if (options != nullptr) {
+    // Scoped: extract from the same liveness the unscoped start below
+    // begins from, then plan on the sub-problem.
+    subgraph_ = RepairSubgraph::Extract(
+        current, AliveForTopology(snapshot, current), failed_brokers, hints,
+        *options);
+    if (subgraph_.empty()) {  // nothing to plan on: done, input unchanged
+      empty_scope_ = true;
+      topo_ = current;
+      return;
+    }
+    sub_snapshot_ = subgraph_.SubSnapshot(snapshot);
+    failed_ = &subgraph_.sub_failed();
+  }
+
+  if (resume != nullptr) {
+    alive_ = resume->alive;
+    topo_ = sim::Topology::FromAssignment(resume->topo);
+    broker_idx_ = static_cast<std::size_t>(resume->broker_idx);
+    phase_ = static_cast<Phase>(resume->phase);
+    proactive_acted_ = resume->proactive_acted;
+    baseline_.reserve(resume->baseline.size());
+    for (const std::vector<sim::NodeId>& assignment : resume->baseline) {
+      baseline_.push_back(sim::Topology::FromAssignment(assignment));
+    }
+    if (resume->has_search) {
+      // The neighborhood is a pure function of (alive mask, options):
+      // the restored alive_ reproduces the original enumeration exactly.
+      search_.emplace(config_->tabu, alive_, config_->node_shift,
+                      resume->search);
+    }
+    return;
+  }
+
+  topo_ = subgraph_.empty() ? current : subgraph_.sub_topology();
+  const sim::SystemSnapshot& planning = scoring_snapshot();
+  if (!failed_->empty()) {
+    alive_ = AliveForTopology(planning, topo_);
     // Every failed broker is byzantine: exclude from candidate roles.
-    for (sim::NodeId b : failed_brokers) {
+    for (sim::NodeId b : *failed_) {
       if (static_cast<std::size_t>(b) < alive_.size()) {
         alive_[static_cast<std::size_t>(b)] = false;
       }
@@ -103,44 +165,19 @@ RepairJob::RepairJob(const sim::Topology& current,
   // Only act on the failure precursor: sustained resource
   // over-utilization somewhere in the fleet (§VI).
   double max_util = 0.0;
-  for (const auto& host : snapshot.hosts) {
+  for (const auto& host : planning.hosts) {
     max_util = std::max(max_util, host.cpu_util);
   }
   if (max_util < config.proactive_util_threshold) return;
   proactive_acted_ = true;
-  alive_ = AliveForTopology(snapshot, topo_);
-  search_.emplace(config.tabu, topo_,
-                  LocalMoveNeighbors(alive_, config_->node_shift));
+  alive_ = AliveForTopology(planning, topo_);
+  search_.emplace(config.tabu, topo_, alive_, config.node_shift);
   phase_ = Phase::kProactiveSearch;
-}
-
-RepairJob::RepairJob(const std::vector<sim::NodeId>& failed_brokers,
-                     const CarolConfig& config, common::Rng* rng,
-                     const RepairJobState& state)
-    : failed_(&failed_brokers),
-      config_(&config),
-      rng_(rng),
-      alive_(state.alive),
-      topo_(sim::Topology::FromAssignment(state.topo)),
-      broker_idx_(static_cast<std::size_t>(state.broker_idx)),
-      phase_(static_cast<Phase>(state.phase)),
-      proactive_acted_(state.proactive_acted) {
-  baseline_.reserve(state.baseline.size());
-  for (const std::vector<sim::NodeId>& assignment : state.baseline) {
-    baseline_.push_back(sim::Topology::FromAssignment(assignment));
-  }
-  if (state.has_search) {
-    // The neighbor callback is a pure function of (alive mask, options):
-    // rebuilding it over the restored alive_ reproduces the original
-    // enumeration exactly. It borrows alive_, which this job owns.
-    search_.emplace(config_->tabu,
-                    LocalMoveNeighbors(alive_, config_->node_shift),
-                    state.search);
-  }
 }
 
 RepairJobState RepairJob::SaveState() const {
   RepairJobState state;
+  if (empty_scope_) return state;  // no search problem to resume
   state.alive = alive_;
   state.topo = topo_.assignment();
   state.broker_idx = static_cast<std::uint64_t>(broker_idx_);
@@ -155,6 +192,10 @@ RepairJobState RepairJob::SaveState() const {
     state.search = search_->Snapshot();
   }
   return state;
+}
+
+sim::Topology RepairJob::result() const {
+  return subgraph_.empty() ? topo_ : subgraph_.Splice(*current_, topo_);
 }
 
 void RepairJob::StartNextBrokerSearch() {
@@ -175,8 +216,8 @@ void RepairJob::StartNextBrokerSearch() {
     // ...line 8: tabu-search the neighborhood to optimize Omega; the
     // caller scores each proposed frontier (one stacked GON pass in the
     // single-model path, a cross-session batch in the serving layer).
-    search_.emplace(config_->tabu, std::move(start),
-                    LocalMoveNeighbors(alive_, config_->node_shift));
+    search_.emplace(config_->tabu, std::move(start), alive_,
+                    config_->node_shift);
     return;
   }
   search_.reset();
@@ -231,13 +272,13 @@ sim::Topology PlanDecision(const sim::Topology& current,
                            const sim::SystemSnapshot& snapshot,
                            const CarolConfig& config, common::Rng& rng,
                            const TopologyBatchScoreFn& score,
-                           bool* proactive_acted) {
-  RepairJob job(current, failed_brokers, snapshot, config, &rng);
+                           const RepairScope* scope, bool* proactive_acted) {
+  RepairJob job(current, failed_brokers, snapshot, config, &rng, scope);
   if (job.proactive_acted() && proactive_acted != nullptr) {
     *proactive_acted = true;
   }
   while (!job.done()) {
-    job.Advance(score(job.ProposeFrontier()));
+    job.Advance(score(job.ProposeFrontier(), job.scoring_snapshot()));
   }
   return job.result();
 }
@@ -340,23 +381,18 @@ sim::Topology CarolModel::Repair(
     const sim::Topology& current,
     const std::vector<sim::NodeId>& failed_brokers,
     const sim::SystemSnapshot& snapshot) {
+  // The large-fleet tier plans on the extracted affected region. No
+  // hints here: the single-model path has no kernel dirty sets, so
+  // extraction seeds from the failed LEIs plus budget fill.
+  const RepairScope scope{config_.scoped, {}};
   bool proactive_acted = false;
-  sim::Topology out = [&] {
-    if (config_.scoped.enabled) {
-      // Large-fleet tier: plan on the extracted affected region (no
-      // hints here — the single-model path has no kernel dirty sets, so
-      // extraction seeds from the failed LEIs plus budget fill).
-      return PlanScopedDecision(current, failed_brokers, snapshot, {},
-                                config_.scoped, config_, rng_, *gon_,
-                                encoder_, &proactive_acted);
-    }
-    const TopologyBatchScoreFn score =
-        [&](const std::vector<sim::Topology>& frontier) {
-          return ScoreTopologies(frontier, snapshot);
-        };
-    return PlanDecision(current, failed_brokers, snapshot, config_, rng_,
-                        score, &proactive_acted);
-  }();
+  sim::Topology out = PlanDecision(
+      current, failed_brokers, snapshot, config_, rng_,
+      [&](const std::vector<sim::Topology>& frontier,
+          const sim::SystemSnapshot& scoring) {
+        return ScoreTopologies(frontier, scoring);
+      },
+      config_.scoped.enabled ? &scope : nullptr, &proactive_acted);
   if (proactive_acted) ++proactive_optimizations_;
   return out;
 }

@@ -20,6 +20,9 @@
 // frontier per step and the caller supplies the scores, so a serving
 // layer can interleave and batch scoring across federations;
 // PlanDecision drives a job to completion against a blocking scorer.
+// The large-fleet tier is the same job given a RepairScope: it plans on
+// the extracted affected region (core/subgraph.h) and splices the
+// decision back.
 #ifndef CAROL_CORE_CAROL_H_
 #define CAROL_CORE_CAROL_H_
 
@@ -34,6 +37,7 @@
 #include "core/node_shift.h"
 #include "core/pot.h"
 #include "core/resilience.h"
+#include "core/subgraph.h"
 #include "core/tabu.h"
 #include "workload/trace.h"
 
@@ -42,28 +46,6 @@ namespace carol::core {
 // Fine-tuning policy; kConfidence is CAROL, the others are the paper's
 // §V-D ablations.
 enum class FineTunePolicy { kConfidence, kAlways, kNever };
-
-// Scoped (subgraph-extracted) repair: instead of searching node shifts
-// over the whole federation, extract the affected region — the failed
-// brokers' LEIs, any hinted LEIs (latency-tie neighbors, the kernel's
-// engaged/dirty hosts) and budget-fill LEIs — into a compact remapped
-// sub-problem, run the ordinary RepairJob there and splice the decision
-// back (core/subgraph.h). When the extraction covers the full federation
-// the scoped path is bit-identical to the unscoped one. Defined here so
-// CarolConfig can carry it without a core/ include cycle.
-struct ScopedRepairOptions {
-  // Read by CarolModel / serve sessions: plan repairs on the extracted
-  // subgraph instead of the full topology.
-  bool enabled = false;
-  // Extraction budget (hosts). A TARGET, not a hard cap: mandatory LEIs
-  // (the failed brokers' own) are always extracted even when one alone
-  // exceeds it, so correctness never depends on the budget.
-  int max_hosts = 128;
-  // After the mandatory and hinted LEIs, keep adding alive-broker LEIs in
-  // ascending id order while the budget allows — gives the node-shift
-  // search spare brokers to move work to even when no hints arrived.
-  bool fill_to_budget = true;
-};
 
 struct CarolConfig {
   GonConfig gon;
@@ -89,9 +71,12 @@ struct CarolConfig {
 
   // --- scoped repair (large-fleet tier; core/subgraph.h) ---
   // When enabled, CarolModel (and serve sessions whose requests carry no
-  // explicit scope) plan repairs on the extracted subgraph. Disabled by
-  // default: the H <= 128 tier plans on the full federation, and every
-  // pre-existing decision stream is unchanged.
+  // explicit scope) plan repairs on the extracted subgraph: extract the
+  // failed brokers' LEIs plus budget-fill LEIs, run the ordinary
+  // RepairJob there and splice the decision back. Disabled by default:
+  // the H <= 128 tier plans on the full federation. When the extraction
+  // covers the full federation the scoped job is bit-identical to the
+  // unscoped one.
   ScopedRepairOptions scoped;
 };
 
@@ -112,17 +97,12 @@ inline double GammaStateBytes(double hosts = 16.0) {
          sizeof(double);
 }
 
-// Snapshot alive flags for `topo`, falling back to all-alive when the
-// snapshot does not cover the topology's node range. The one liveness
-// convention of the repair path: RepairJob's candidate roles and the
-// scoped extraction (core/subgraph.h) both start from it.
-std::vector<bool> AliveForTopology(const sim::SystemSnapshot& snapshot,
-                                   const sim::Topology& topo);
-
-// Scores a whole candidate frontier for one snapshot; the snapshot and
-// the scoring model are captured by the caller. Used by PlanDecision.
-using TopologyBatchScoreFn =
-    std::function<std::vector<double>(const std::vector<sim::Topology>&)>;
+// Scores a whole candidate frontier against the snapshot the job plans
+// in (RepairJob::scoring_snapshot(): the request snapshot, or its H_sub
+// view when scoped); the scoring model is captured by the caller. Used
+// by PlanDecision.
+using TopologyBatchScoreFn = std::function<std::vector<double>(
+    const std::vector<sim::Topology>&, const sim::SystemSnapshot&)>;
 
 // Encodes a candidate frontier against one snapshot — the shared
 // convention for the tabu search and the serving layer's batcher.
@@ -145,10 +125,11 @@ std::vector<double> ScoreTopologiesWith(
 
 // Complete serializable state of a RepairJob, captured between steps
 // (frontier proposed, scores pending). Topologies are stored as
-// assignment encodings; the borrowed inputs (failed-broker list, config,
-// rng) are NOT part of the state — the restoring caller re-supplies
-// them, and the serving layer's session snapshot carries them alongside.
-// `phase` mirrors the job's private Phase enum by index.
+// assignment encodings, in the space the job plans in (sub space when
+// scoped); the request inputs (topology, failed-broker list, snapshot,
+// scope, config, rng) are NOT part of the state — the restoring caller
+// re-supplies them, and the serving layer's session snapshot carries
+// them alongside. `phase` mirrors the job's private Phase enum by index.
 struct RepairJobState {
   std::vector<bool> alive;
   std::vector<sim::NodeId> topo;
@@ -164,36 +145,50 @@ struct RepairJobState {
 // lines 6-8, or the §VI proactive extension when nothing failed — as an
 // explicit state machine that yields one candidate frontier per step
 // instead of blocking on a scoring callback. Protocol:
-//   RepairJob job(current, failed, snapshot, config, &rng);
-//   while (!job.done()) job.Advance(scores_for(job.ProposeFrontier()));
+//   RepairJob job(current, failed, snapshot, config, &rng, scope);
+//   while (!job.done()) {
+//     job.Advance(scores_for(job.ProposeFrontier(), job.scoring_snapshot()));
+//   }
 //   use job.result();
 // Driving a job to completion performs exactly the same evaluations (and
 // rng draws) for ANY interleaving with other jobs: all search state is
 // self-contained, so a scheduler may advance many federations' jobs step
 // by step in any order and batch their frontiers into shared GON passes
 // (src/serve does exactly that).
+//
+// Without a scope the job plans on the full federation. With one it is
+// scoped: it runs RepairSubgraph::Extract on the request and plans in SUB
+// space — frontiers, scoring_snapshot() and sub_result() are H_sub-node —
+// and result() splices the decision back into the full topology. An
+// extraction that comes out empty leaves nothing to plan: the job is done
+// at once and every space is the full one.
 class RepairJob {
  public:
-  // All reference arguments are borrowed for the lifetime of the job.
-  // With failed brokers the job repairs each one in list order;
-  // otherwise it runs the proactive extension when `config.proactive` is
-  // on, and is done at once when it is off. `rng` is consumed only for
-  // repair starts (Algorithm 2 line 7).
+  // Reference arguments are borrowed for the lifetime of the job; `scope`
+  // and `resume` only while it is constructed. With failed brokers the
+  // job repairs each one in list order; otherwise it runs the proactive
+  // extension when `config.proactive` is on, and is done at once when it
+  // is off. `rng` is consumed only for repair starts (Algorithm 2 line 7).
+  //
+  // With `resume` the job continues a state captured by SaveState()
+  // instead of starting. The other arguments must equal the original
+  // request's (a scoped job re-runs its deterministic extraction) and
+  // `rng` must carry the stream state it had at capture time; driving the
+  // restored job to completion then yields bit-identical decisions to the
+  // uninterrupted run. The restore consumes NO rng draws: the draws of
+  // already-started searches happened before the capture.
   RepairJob(const sim::Topology& current,
             const std::vector<sim::NodeId>& failed_brokers,
             const sim::SystemSnapshot& snapshot, const CarolConfig& config,
+            common::Rng* rng, const RepairScope* scope = nullptr,
+            const RepairJobState* resume = nullptr);
+  // A scoped job, with the scope given by its parts.
+  RepairJob(const sim::Topology& current,
+            const std::vector<sim::NodeId>& failed_brokers,
+            const sim::SystemSnapshot& snapshot,
+            std::span<const sim::NodeId> hints,
+            const ScopedRepairOptions& options, const CarolConfig& config,
             common::Rng* rng);
-
-  // Restores a job captured by SaveState(). `failed_brokers` must equal
-  // the original request's list (borrowed, as in the primary
-  // constructor) and `rng` must carry the stream state it had at
-  // capture time; driving the restored job to completion then yields
-  // bit-identical decisions to the uninterrupted run. Note the restore
-  // consumes NO rng draws: the draws of already-started searches
-  // happened before the capture.
-  RepairJob(const std::vector<sim::NodeId>& failed_brokers,
-            const CarolConfig& config, common::Rng* rng,
-            const RepairJobState& state);
 
   // Captures the full job state between steps (see RepairJobState).
   RepairJobState SaveState() const;
@@ -208,9 +203,20 @@ class RepairJob {
   const std::vector<sim::Topology>& ProposeFrontier() const;
   // Supplies one score per proposed candidate and advances the job.
   void Advance(std::span<const double> scores);
-  // The decided topology (the input topology until repairs land; the
-  // final decision once done()).
-  const sim::Topology& result() const { return topo_; }
+  // The snapshot frontiers (and the decided state) are scored against:
+  // the request snapshot, or its H_sub-row view when scoped.
+  const sim::SystemSnapshot& scoring_snapshot() const {
+    return subgraph_.empty() ? *snapshot_ : sub_snapshot_;
+  }
+  // The decided topology in the space the job plans in (the input
+  // topology until repairs land; the final decision once done()). The
+  // confidence of a decision encodes this against scoring_snapshot().
+  const sim::Topology& sub_result() const { return topo_; }
+  // The decided topology in FULL space: sub_result() spliced back into
+  // the request topology when scoped.
+  sim::Topology result() const;
+  // The extracted region; empty when unscoped.
+  const RepairSubgraph& subgraph() const { return subgraph_; }
   // True when the proactive extension ran an optimization attempt.
   bool proactive_acted() const { return proactive_acted_; }
 
@@ -222,14 +228,28 @@ class RepairJob {
     kDone
   };
 
+  // The body of both public constructors; `options` is null when
+  // unscoped.
+  RepairJob(const sim::Topology& current,
+            const std::vector<sim::NodeId>& failed_brokers,
+            const sim::SystemSnapshot& snapshot, const CarolConfig& config,
+            common::Rng* rng, std::span<const sim::NodeId> hints,
+            const ScopedRepairOptions* options,
+            const RepairJobState* resume);
+
   // Advances broker_idx_ to the next failed broker that still needs a
   // repair search (consuming one rng draw per searchable broker), or
   // finishes the job.
   void StartNextBrokerSearch();
 
-  const std::vector<sim::NodeId>* failed_;
+  const sim::Topology* current_;
+  const sim::SystemSnapshot* snapshot_;
+  const std::vector<sim::NodeId>* failed_;  // sub-space list when scoped
   const CarolConfig* config_;
   common::Rng* rng_;
+  RepairSubgraph subgraph_;
+  sim::SystemSnapshot sub_snapshot_;
+  bool empty_scope_ = false;  // scoped, but the extraction was empty
   std::vector<bool> alive_;
   sim::Topology topo_;
   std::size_t broker_idx_ = 0;
@@ -239,19 +259,25 @@ class RepairJob {
   bool proactive_acted_ = false;
 };
 
+// The scoped job's former name: RepairJob is the only repair job, and the
+// benchmark (carolbench/src/layers.cpp) still spells it this way.
+using ScopedRepairJob = RepairJob;
+
 // Drives one RepairJob to completion against a blocking scorer and
-// returns its decision (the input topology when there is nothing to do).
-// Every failed broker gets a random node-shift start followed by tabu
-// search (Algorithm 2 lines 6-8); deterministic given `rng` state and a
-// deterministic `score`. The unscoped CarolModel and the tabu-based
-// ablations route through this ONE function, and the serving layer steps
-// the same RepairJob — that shared dispatch is part of the bit-identity
-// guarantee between the paths.
+// returns its decision in full space (the input topology when there is
+// nothing to do). Every failed broker gets a random node-shift start
+// followed by tabu search (Algorithm 2 lines 6-8); deterministic given
+// `rng` state and a deterministic `score`, which receives each frontier
+// with the job's scoring_snapshot(). CarolModel (scoped or not), the
+// tabu-based ablations and the fleet benches route through this ONE
+// function, and the serving layer steps the same RepairJob — that shared
+// dispatch is part of the bit-identity guarantee between the paths.
 sim::Topology PlanDecision(const sim::Topology& current,
                            const std::vector<sim::NodeId>& failed_brokers,
                            const sim::SystemSnapshot& snapshot,
                            const CarolConfig& config, common::Rng& rng,
                            const TopologyBatchScoreFn& score,
+                           const RepairScope* scope = nullptr,
                            bool* proactive_acted = nullptr);
 
 // Confidence bookkeeping of Algorithm 2 lines 9-14: per-federation POT

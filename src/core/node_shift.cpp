@@ -1,7 +1,6 @@
 #include "core/node_shift.h"
 
 #include <algorithm>
-#include <memory>
 
 namespace carol::core {
 
@@ -151,20 +150,6 @@ void ApplyLocalMove(const sim::Topology& base, const LocalMove& move,
       out.Demote(move.node, move.target);
       break;
   }
-}
-
-LazyNeighborFn LocalMoveNeighbors(const std::vector<bool>& alive,
-                                  NodeShiftOptions options) {
-  return [&alive, options](const sim::Topology& g) -> LazyFrontier {
-    auto moves =
-        std::make_shared<std::vector<LocalMove>>(LocalMoves(g, alive, options));
-    LazyFrontier frontier;
-    frontier.count = moves->size();
-    frontier.materialize = [moves, &g](std::size_t i, sim::Topology& out) {
-      ApplyLocalMove(g, (*moves)[i], out);
-    };
-    return frontier;
-  };
 }
 
 }  // namespace carol::core

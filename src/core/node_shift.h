@@ -12,9 +12,9 @@
 // The general neighborhood has one enumeration: compact move records
 // (LocalMoves) rather than materialized topologies, so enumeration is
 // O(1) per neighbor instead of copying an H-sized assignment vector each
-// (the ROADMAP's H>=64 repair bottleneck). LocalMoveNeighbors hands them
-// to the tabu search, which materializes candidates one at a time into a
-// reused scratch buffer (ApplyLocalMove) — over-budget candidates are
+// (the ROADMAP's H>=64 repair bottleneck). The tabu search (core/tabu.h)
+// calls LocalMoves itself and materializes candidates one at a time into
+// a reused scratch buffer (ApplyLocalMove) — over-budget candidates are
 // never built, tabu-filtered ones cost a scratch rebuild but no
 // allocation, and only eligible candidates are ever copied into a
 // frontier.
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/tabu.h"
 #include "sim/topology.h"
 
 namespace carol::core {
@@ -76,15 +75,6 @@ std::vector<LocalMove> LocalMoves(const sim::Topology& g,
 // subsequent Hash() costs O(1) — no per-candidate rehash.
 void ApplyLocalMove(const sim::Topology& base, const LocalMove& move,
                     sim::Topology& out);
-
-// Tabu-ready lazy neighborhood over LocalMoves: each call enumerates
-// move records (no topology copies at enumeration time) and the search
-// materializes candidates one at a time into a reused scratch buffer at
-// frontier-build time — over-budget candidates are never built at all.
-// `alive` is borrowed and must outlive the returned callable; `options`
-// is copied (so temporaries are fine).
-LazyNeighborFn LocalMoveNeighbors(const std::vector<bool>& alive,
-                                  NodeShiftOptions options);
 
 }  // namespace carol::core
 

@@ -6,12 +6,6 @@
 
 namespace carol::core {
 
-namespace {
-
-const std::vector<sim::Topology> kEmptyFrontier;
-
-}  // namespace
-
 RepairSubgraph RepairSubgraph::Extract(
     const sim::Topology& full, const std::vector<bool>& alive,
     std::span<const sim::NodeId> failed_brokers,
@@ -149,103 +143,6 @@ sim::Topology RepairSubgraph::Splice(const sim::Topology& full_current,
   sim::Topology out = full_current;
   if (!entries.empty()) out.ApplySplice(entries);
   return out;
-}
-
-// --- ScopedRepairJob ----------------------------------------------------
-
-void ScopedRepairJob::BuildSubProblem(
-    const sim::Topology& current,
-    const std::vector<sim::NodeId>& failed_brokers,
-    const sim::SystemSnapshot& snapshot, std::span<const sim::NodeId> hints,
-    const ScopedRepairOptions& options) {
-  // The same liveness the RepairJob constructor starts from.
-  const std::vector<bool> alive = AliveForTopology(snapshot, current);
-  subgraph_ = RepairSubgraph::Extract(current, alive, failed_brokers,
-                                      hints, options);
-  sub_failed_ = subgraph_.empty() ? std::vector<sim::NodeId>{}
-                                  : subgraph_.sub_failed();
-  if (!subgraph_.empty()) {
-    sub_snapshot_ = subgraph_.SubSnapshot(snapshot);
-  }
-}
-
-ScopedRepairJob::ScopedRepairJob(
-    const sim::Topology& current,
-    const std::vector<sim::NodeId>& failed_brokers,
-    const sim::SystemSnapshot& snapshot, std::span<const sim::NodeId> hints,
-    const ScopedRepairOptions& options, const CarolConfig& config,
-    common::Rng* rng)
-    : full_current_(current) {
-  BuildSubProblem(current, failed_brokers, snapshot, hints, options);
-  if (!subgraph_.empty()) {
-    job_.emplace(subgraph_.sub_topology(), sub_failed_, sub_snapshot_,
-                 config, rng);
-  }
-}
-
-ScopedRepairJob::ScopedRepairJob(
-    const sim::Topology& current,
-    const std::vector<sim::NodeId>& failed_brokers,
-    const sim::SystemSnapshot& snapshot, std::span<const sim::NodeId> hints,
-    const ScopedRepairOptions& options, const CarolConfig& config,
-    common::Rng* rng, const RepairJobState& state)
-    : full_current_(current) {
-  BuildSubProblem(current, failed_brokers, snapshot, hints, options);
-  if (!subgraph_.empty()) {
-    job_.emplace(sub_failed_, config, rng, state);
-  }
-}
-
-const std::vector<sim::Topology>& ScopedRepairJob::ProposeFrontier() const {
-  if (!job_.has_value()) return kEmptyFrontier;
-  return job_->ProposeFrontier();
-}
-
-void ScopedRepairJob::Advance(std::span<const double> scores) {
-  if (!job_.has_value()) {
-    throw std::logic_error("ScopedRepairJob: Advance on an empty scope");
-  }
-  job_->Advance(scores);
-}
-
-const sim::Topology& ScopedRepairJob::sub_result() const {
-  if (!job_.has_value()) {
-    throw std::logic_error(
-        "ScopedRepairJob: no sub result for an empty scope");
-  }
-  return job_->result();
-}
-
-sim::Topology ScopedRepairJob::result() const {
-  if (!job_.has_value()) return full_current_;
-  return subgraph_.Splice(full_current_, job_->result());
-}
-
-RepairJobState ScopedRepairJob::SaveState() const {
-  if (!job_.has_value()) return RepairJobState{};
-  return job_->SaveState();
-}
-
-// --- one-shot driver ----------------------------------------------------
-
-sim::Topology PlanScopedDecision(
-    const sim::Topology& current,
-    const std::vector<sim::NodeId>& failed_brokers,
-    const sim::SystemSnapshot& snapshot, std::span<const sim::NodeId> hints,
-    const ScopedRepairOptions& options, const CarolConfig& config,
-    common::Rng& rng, GonModel& gon, const FeatureEncoder& encoder,
-    bool* proactive_acted) {
-  ScopedRepairJob job(current, failed_brokers, snapshot, hints, options,
-                      config, &rng);
-  if (job.proactive_acted() && proactive_acted != nullptr) {
-    *proactive_acted = true;
-  }
-  while (!job.done()) {
-    job.Advance(ScoreTopologiesWith(gon, encoder, config.alpha,
-                                    config.beta, job.ProposeFrontier(),
-                                    job.scoring_snapshot()));
-  }
-  return job.result();
 }
 
 }  // namespace carol::core

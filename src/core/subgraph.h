@@ -7,11 +7,12 @@
 // extracts the AFFECTED REGION of the federation — the failed brokers'
 // LEIs, the LEIs of hinted hosts (latency-tie neighbor brokers, the
 // simkern engaged/dirty sets) and, budget permitting, spare alive-broker
-// LEIs — into a compact index-remapped view, so the existing step-driven
-// RepairJob / TabuSearchState / GON scoring machinery runs unchanged on
-// an H_sub <= ~128 problem and the decision splices back into the full
-// topology through the incremental Topology::ApplySplice (no full
-// rehash, no full re-audit).
+// LEIs — into a compact index-remapped view. A RepairJob (core/carol.h)
+// given a RepairScope runs the extraction itself, plans with the
+// unchanged TabuSearchState / GON scoring machinery on the H_sub <= ~128
+// problem and splices the decision back into the full topology through
+// the incremental Topology::ApplySplice (no full rehash, no full
+// re-audit).
 //
 // Invariants that make this correct:
 //   * WHOLE-LEI extraction: a node is extracted iff its broker's entire
@@ -23,12 +24,15 @@
 //     order. When the extraction covers the whole federation the remap
 //     is the identity, the sub-problem IS the full problem verbatim —
 //     same FailureNeighbors enumeration, same rng draws, same tabu
-//     frontiers — so the scoped path is bit-identical to the unscoped
-//     one (pinned by tests/subgraph_repair_test.cpp).
-//   * Frontier confinement: candidate moves come from LocalMoveNeighbors
-//     over the SUB topology, so the search can never touch a host
-//     outside the extracted region; everything else is pinned boundary
-//     state carried through the splice untouched.
+//     frontiers — so a scoped job is bit-identical to an unscoped one
+//     (pinned by tests/subgraph_repair_test.cpp).
+//   * Frontier confinement: candidate moves come from LocalMoves over the
+//     SUB topology, so the search can never touch a host outside the
+//     extracted region; everything else is pinned boundary state carried
+//     through the splice untouched.
+//
+// This header sits below core/carol.h: it knows topologies and
+// snapshots, not jobs or configs.
 #ifndef CAROL_CORE_SUBGRAPH_H_
 #define CAROL_CORE_SUBGRAPH_H_
 
@@ -36,11 +40,41 @@
 #include <span>
 #include <vector>
 
-#include "core/carol.h"
 #include "sim/federation.h"
 #include "sim/topology.h"
 
 namespace carol::core {
+
+// Extraction options of a scoped repair.
+struct ScopedRepairOptions {
+  // Read by CarolModel / serve sessions: plan repairs on the extracted
+  // subgraph instead of the full topology. Extraction itself ignores it.
+  bool enabled = false;
+  // Extraction budget (hosts). A TARGET, not a hard cap: mandatory LEIs
+  // (the failed brokers' own) are always extracted even when one alone
+  // exceeds it, so correctness never depends on the budget.
+  int max_hosts = 128;
+  // After the mandatory and hinted LEIs, keep adding alive-broker LEIs in
+  // ascending id order while the budget allows — gives the node-shift
+  // search spare brokers to move work to even when no hints arrived.
+  bool fill_to_budget = true;
+};
+
+// The optional input of a RepairJob that makes it scoped: the extraction
+// options plus the hinted hosts (simkern::RepairScopeHints) whose LEIs
+// join the failed brokers' own. Two scopes are equal when they extract
+// the same region from the same request (`options.enabled` only selects
+// the scoped path in configs, so it is not compared).
+struct RepairScope {
+  ScopedRepairOptions options;
+  std::vector<sim::NodeId> hints;
+
+  friend bool operator==(const RepairScope& a, const RepairScope& b) {
+    return a.options.max_hosts == b.options.max_hosts &&
+           a.options.fill_to_budget == b.options.fill_to_budget &&
+           a.hints == b.hints;
+  }
+};
 
 class RepairSubgraph {
  public:
@@ -102,82 +136,6 @@ class RepairSubgraph {
   std::optional<sim::Topology> sub_topology_;
   std::vector<sim::NodeId> sub_failed_;
 };
-
-// A RepairJob over the extracted region: same step protocol (done /
-// ProposeFrontier / Advance / result), but frontiers live in SUB space —
-// score them against scoring_snapshot(), not the full snapshot — and
-// result() splices the decision back into the full topology. Non-movable
-// for the same reason RepairJob is: the inner job borrows members.
-class ScopedRepairJob {
- public:
-  ScopedRepairJob(const sim::Topology& current,
-                  const std::vector<sim::NodeId>& failed_brokers,
-                  const sim::SystemSnapshot& snapshot,
-                  std::span<const sim::NodeId> hints,
-                  const ScopedRepairOptions& options,
-                  const CarolConfig& config, common::Rng* rng);
-
-  // Restores a job captured by SaveState(): re-runs the (deterministic)
-  // extraction from the same request arguments, then restores the inner
-  // sub-space RepairJob. Same contract as RepairJob's restore ctor.
-  ScopedRepairJob(const sim::Topology& current,
-                  const std::vector<sim::NodeId>& failed_brokers,
-                  const sim::SystemSnapshot& snapshot,
-                  std::span<const sim::NodeId> hints,
-                  const ScopedRepairOptions& options,
-                  const CarolConfig& config, common::Rng* rng,
-                  const RepairJobState& state);
-
-  ScopedRepairJob(const ScopedRepairJob&) = delete;
-  ScopedRepairJob& operator=(const ScopedRepairJob&) = delete;
-
-  bool done() const { return !job_.has_value() || job_->done(); }
-  // SUB-space candidate frontier (H_sub-node topologies).
-  const std::vector<sim::Topology>& ProposeFrontier() const;
-  void Advance(std::span<const double> scores);
-
-  // The snapshot frontiers (and the decided sub-state) must be scored
-  // against: H_sub rows, sub topology.
-  const sim::SystemSnapshot& scoring_snapshot() const {
-    return sub_snapshot_;
-  }
-  // Decided topology in SUB space (what confidence scoring encodes).
-  const sim::Topology& sub_result() const;
-  // Decided topology in FULL space: the sub decision spliced back.
-  sim::Topology result() const;
-  bool proactive_acted() const {
-    return job_.has_value() && job_->proactive_acted();
-  }
-  const RepairSubgraph& subgraph() const { return subgraph_; }
-  // Inner sub-space job state (for parking/serialization); restore via
-  // the restoring constructor above.
-  RepairJobState SaveState() const;
-
- private:
-  void BuildSubProblem(const sim::Topology& current,
-                       const std::vector<sim::NodeId>& failed_brokers,
-                       const sim::SystemSnapshot& snapshot,
-                       std::span<const sim::NodeId> hints,
-                       const ScopedRepairOptions& options);
-
-  sim::Topology full_current_;
-  RepairSubgraph subgraph_;
-  sim::SystemSnapshot sub_snapshot_;
-  std::vector<sim::NodeId> sub_failed_;  // borrowed by job_
-  std::optional<RepairJob> job_;
-};
-
-// One-shot scoped decision (the PlanDecision analogue): extraction +
-// sub-space RepairJob driven against GON scoring on the sub snapshot +
-// splice-back. With an extraction covering the full federation this is
-// bit-identical to PlanDecision with the same gon/encoder/rng.
-sim::Topology PlanScopedDecision(
-    const sim::Topology& current,
-    const std::vector<sim::NodeId>& failed_brokers,
-    const sim::SystemSnapshot& snapshot, std::span<const sim::NodeId> hints,
-    const ScopedRepairOptions& options, const CarolConfig& config,
-    common::Rng& rng, GonModel& gon, const FeatureEncoder& encoder,
-    bool* proactive_acted = nullptr);
 
 }  // namespace carol::core
 

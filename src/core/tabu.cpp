@@ -11,9 +11,11 @@ namespace carol::core {
 
 TabuSearchState::TabuSearchState(const TabuConfig& config,
                                  sim::Topology start,
-                                 LazyNeighborFn neighbors)
+                                 const std::vector<bool>& alive,
+                                 NodeShiftOptions options)
     : config_(config),
-      neighbors_(std::move(neighbors)),
+      alive_(&alive),
+      options_(options),
       current_(std::move(start)),
       best_(current_) {
   // The first proposal is the incumbent itself: its score seeds
@@ -22,10 +24,12 @@ TabuSearchState::TabuSearchState(const TabuConfig& config,
 }
 
 TabuSearchState::TabuSearchState(const TabuConfig& config,
-                                 LazyNeighborFn neighbors,
+                                 const std::vector<bool>& alive,
+                                 NodeShiftOptions options,
                                  const TabuSearchSnapshot& snapshot)
     : config_(config),
-      neighbors_(std::move(neighbors)),
+      alive_(&alive),
+      options_(options),
       current_(sim::Topology::FromAssignment(snapshot.current)),
       best_(sim::Topology::FromAssignment(snapshot.best)),
       best_score_(snapshot.best_score),
@@ -84,22 +88,22 @@ void TabuSearchState::BuildNextFrontier() {
     done_ = true;
     return;
   }
-  const LazyFrontier lazy = neighbors_(current_);
+  const std::vector<LocalMove> moves = LocalMoves(current_, *alive_, options_);
   // Non-tabu candidates in enumeration order, truncated to the remaining
   // evaluation budget — exactly the set the sequential loop scores.
   // Over-budget candidates are never built; candidates before the cutoff
-  // materialize once into the reused scratch (its buffer survives across
-  // iterations, so a tabu-filtered candidate costs no allocation) and
-  // only the eligible ones are copied out for scoring. The Hash() lookup
-  // itself is O(1): Topology maintains a Zobrist hash incrementally
-  // under every mutation, so filtering a candidate never rehashes the
-  // full assignment (the H>=64 enumeration cost the ROADMAP flagged).
+  // materialize once into the reused scratch (a tabu-filtered candidate
+  // costs no allocation) and only the eligible ones are copied out for
+  // scoring. The Hash() lookup itself is O(1): Topology maintains a
+  // Zobrist hash incrementally under every mutation, so filtering a
+  // candidate never rehashes the full assignment (the H>=64 enumeration
+  // cost the ROADMAP flagged).
   const std::size_t budget =
       static_cast<std::size_t>(config_.max_evaluations - evaluations_);
   sim::Topology scratch;
-  for (std::size_t i = 0; i < lazy.count; ++i) {
+  for (const LocalMove& move : moves) {
     if (frontier_.size() >= budget) break;
-    lazy.materialize(i, scratch);
+    ApplyLocalMove(current_, move, scratch);
     if (IsTabu(scratch.Hash())) continue;
     frontier_.push_back(scratch);
   }

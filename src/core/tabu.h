@@ -1,7 +1,7 @@
 // Deterministic tabu search over the topology space (paper §III-B: chosen
 // "due to its deterministic nature and empirically faster convergence").
-// Minimizes an arbitrary objective Omega(G) over neighborhoods produced by
-// a caller-supplied expansion function, with a fixed-size tabu list of
+// Minimizes an arbitrary objective Omega(G) over the node-shift
+// neighborhood (core/node_shift.h), with a fixed-size tabu list of
 // topology hashes (list size L is the Fig. 6(c) sensitivity knob).
 //
 // TabuSearchState is the one implementation, and it is step-driven: the
@@ -12,17 +12,24 @@
 // from many concurrently-repairing federations into shared kernel passes
 // without any wall-clock lingering (src/serve). A caller with a blocking
 // objective drives it with a three-line loop (see the protocol below).
+//
+// Each frontier enumerates the current topology's moves as compact
+// records (LocalMoves) and materializes them one at a time into a reused
+// scratch topology (ApplyLocalMove): candidates past the evaluation
+// budget are never built, a tabu-filtered one costs a scratch rebuild but
+// no allocation, and only eligible candidates are copied into the
+// frontier.
 #ifndef CAROL_CORE_TABU_H_
 #define CAROL_CORE_TABU_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
 #include <unordered_set>
 #include <vector>
 
+#include "core/node_shift.h"
 #include "sim/topology.h"
 
 namespace carol::core {
@@ -36,31 +43,14 @@ struct TabuConfig {
   int max_evaluations = 160;
 };
 
-// A lazily materialized neighborhood: `count` candidate moves around the
-// base topology handed to the producing LazyNeighborFn; materialize(i,
-// out) builds candidate i into `out` (reusing out's buffer). The search
-// materializes indices in ascending order, each at most once, and only
-// while the base topology is unchanged — so the callback may keep
-// references to the base and to any captured move records. Enumeration
-// itself copies no topologies, candidates past the evaluation budget are
-// never built, and the ones before it build into one reused scratch —
-// which is what cuts the per-iteration topology copies out of
-// neighborhood enumeration (src/core/node_shift.h provides the
-// move-record producer).
-struct LazyFrontier {
-  std::size_t count = 0;
-  std::function<void(std::size_t, sim::Topology&)> materialize;
-};
-using LazyNeighborFn = std::function<LazyFrontier(const sim::Topology&)>;
-
 // Complete serializable state of a TabuSearchState, captured BETWEEN
 // steps (frontier proposed, scores not yet supplied — the natural park
 // point of the serving layer's pipeline). Topologies are stored as
 // their assignment encodings (Topology::FromAssignment round-trips and
 // recomputes the identical deterministic Zobrist hash, so the saved
-// tabu hashes stay comparable after a restore). The neighbor callback
-// is NOT part of the state: the restoring caller re-supplies an
-// equivalent one (it is a pure function of config + alive mask).
+// tabu hashes stay comparable after a restore). The neighborhood inputs
+// are NOT part of the state: the restoring caller re-supplies the alive
+// mask and options (the moves are a pure function of them).
 struct TabuSearchSnapshot {
   std::vector<sim::NodeId> current;
   std::vector<sim::NodeId> best;
@@ -76,7 +66,7 @@ struct TabuSearchSnapshot {
 };
 
 // The resumable search. Protocol:
-//   TabuSearchState s(config, start, neighbors);
+//   TabuSearchState s(config, start, alive, node_shift_options);
 //   while (!s.done()) s.Advance(scores_for(s.ProposeFrontier()));
 //   use s.best();
 // The first proposed frontier is {start} (the incumbent evaluation);
@@ -86,13 +76,16 @@ struct TabuSearchSnapshot {
 // results.
 class TabuSearchState {
  public:
+  // Neighbors are LocalMoves(current, alive, options); only alive nodes
+  // become brokers or targets. `alive` is borrowed and must outlive the
+  // search.
   TabuSearchState(const TabuConfig& config, sim::Topology start,
-                  LazyNeighborFn neighbors);
-  // Restores a search captured by Snapshot(). `neighbors` must be
-  // equivalent to the original callback (same moves, same order) for
-  // the resumed search to be bit-identical — LocalMoveNeighbors over
-  // the same alive mask and options satisfies this by construction.
-  TabuSearchState(const TabuConfig& config, LazyNeighborFn neighbors,
+                  const std::vector<bool>& alive, NodeShiftOptions options);
+  // Restores a search captured by Snapshot(). `alive` and `options` must
+  // equal the original ones (same moves, same order) for the resumed
+  // search to be bit-identical.
+  TabuSearchState(const TabuConfig& config, const std::vector<bool>& alive,
+                  NodeShiftOptions options,
                   const TabuSearchSnapshot& snapshot);
 
   // Captures the full search state between steps; resuming a restored
@@ -125,7 +118,8 @@ class TabuSearchState {
   void BuildNextFrontier();
 
   TabuConfig config_;
-  LazyNeighborFn neighbors_;
+  const std::vector<bool>* alive_;
+  NodeShiftOptions options_;
   sim::Topology current_;
   sim::Topology best_;
   double best_score_ = 0.0;

@@ -3,55 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <iomanip>
 #include <stdexcept>
 #include <vector>
 
 #include "common/binio.h"
 
 namespace carol::nn {
-
-void SaveParameters(Module& module, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("SaveParameters: cannot open " + path);
-  const auto params = module.Parameters();
-  out << "carol-params v1\n" << params.size() << "\n";
-  out << std::setprecision(17);
-  for (const Parameter* p : params) {
-    out << p->name << ' ' << p->value.rows() << ' ' << p->value.cols()
-        << '\n';
-    for (double v : p->value.flat()) out << v << ' ';
-    out << '\n';
-  }
-  if (!out) throw std::runtime_error("SaveParameters: write failed");
-}
-
-void LoadParameters(Module& module, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("LoadParameters: cannot open " + path);
-  std::string magic, version;
-  in >> magic >> version;
-  if (magic != "carol-params" || version != "v1") {
-    throw std::runtime_error("LoadParameters: bad header in " + path);
-  }
-  std::size_t count = 0;
-  in >> count;
-  auto params = module.Parameters();
-  if (count != params.size()) {
-    throw std::runtime_error("LoadParameters: parameter count mismatch");
-  }
-  for (Parameter* p : params) {
-    std::string name;
-    std::size_t rows = 0, cols = 0;
-    in >> name >> rows >> cols;
-    if (name != p->name || rows != p->value.rows() ||
-        cols != p->value.cols()) {
-      throw std::runtime_error("LoadParameters: mismatch at " + p->name);
-    }
-    for (double& v : p->value.flat()) in >> v;
-  }
-  if (!in) throw std::runtime_error("LoadParameters: truncated file");
-}
 
 void SaveParametersBinary(Module& module, std::ostream& out) {
   common::BinaryWriter w(out);
@@ -76,7 +33,11 @@ void LoadParametersBinary(Module& module, std::istream& in) {
     throw common::BinaryFormatError(
         "LoadParametersBinary: parameter count mismatch");
   }
-  for (Parameter* p : params) {
+  // Read and check the whole image before assigning anything, so a bad
+  // image never leaves the module half overwritten.
+  std::vector<std::vector<double>> values;
+  values.reserve(params.size());
+  for (const Parameter* p : params) {
     const std::string name = r.String();
     const std::uint64_t rows = r.U64();
     const std::uint64_t cols = r.U64();
@@ -85,13 +46,28 @@ void LoadParametersBinary(Module& module, std::istream& in) {
       throw common::BinaryFormatError("LoadParametersBinary: mismatch at " +
                                       p->name);
     }
-    const std::vector<double> values = r.Doubles();
-    if (values.size() != p->value.flat().size()) {
+    values.push_back(r.Doubles());
+    if (values.back().size() != p->value.flat().size()) {
       throw common::BinaryFormatError(
           "LoadParametersBinary: element count mismatch at " + p->name);
     }
-    std::copy(values.begin(), values.end(), p->value.flat().begin());
   }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(values[i].begin(), values[i].end(),
+              params[i]->value.flat().begin());
+  }
+}
+
+void SaveParameters(Module& module, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("SaveParameters: cannot open " + path);
+  SaveParametersBinary(module, out);
+}
+
+void LoadParameters(Module& module, const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("LoadParameters: cannot open " + path);
+  LoadParametersBinary(module, in);
 }
 
 void CopyParameters(Module& from, Module& to) {

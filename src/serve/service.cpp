@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <future>
 #include <limits>
@@ -11,7 +12,6 @@
 #include <utility>
 
 #include "common/binio.h"
-#include "core/subgraph.h"
 #include "nn/serialize.h"
 
 namespace carol::serve {
@@ -43,9 +43,8 @@ struct ResilienceService::ParkedRepair {
   // Scoped (subgraph-extracted) repairs park the SUB-space job state
   // plus the scope that produced the extraction. Resume re-runs the
   // (deterministic) extraction from the re-issued request and restores
-  // the inner job into it — the scope is part of the request identity.
-  bool scoped = false;
-  RepairScope scope;
+  // the job into it — the scope is part of the request identity.
+  std::optional<RepairScope> scope;
 };
 
 // Per-federation controller state. Everything here is cheap; the GON
@@ -130,11 +129,12 @@ struct ResilienceService::Obs {
   }
 };
 
-// One in-flight pipelined repair: the resumable core::RepairJob plus the
-// request/response plumbing. The blocking caller owns the request pieces
-// and the promise; steps reference the pipeline via shared_ptr. Fields
-// are only ever touched by the single step currently executing for this
-// pipeline — step hand-offs synchronize through queue_mu_.
+// One in-flight pipelined repair: the resumable core::RepairJob (scoped
+// or not) plus the request/response plumbing. The blocking caller owns
+// the request pieces and the promise; steps reference the pipeline via
+// shared_ptr. Fields are only ever touched by the single step currently
+// executing for this pipeline — step hand-offs synchronize through
+// queue_mu_.
 struct ResilienceService::RepairPipeline {
   // Which scoring the parked pipeline is waiting for: its candidate
   // frontier (GenerateBatch) or — once the search finished — the final
@@ -152,12 +152,9 @@ struct ResilienceService::RepairPipeline {
   // step boundary.
   Clock::time_point deadline{};
   std::optional<core::RepairJob> job;
-  // Scoped mode: the request's scope (owned — it must survive parking)
-  // and the subgraph-extracted job that replaces `job`. Exactly one of
-  // job/scoped_job is engaged per pipeline. ScopedRepairJob is
-  // heap-held because it is non-movable (it borrows its own members).
+  // The request's scope (owned — it must survive parking); the job reads
+  // it only while it is constructed.
   std::optional<RepairScope> scope;
-  std::unique_ptr<core::ScopedRepairJob> scoped_job;
   Stage stage = Stage::kSearch;
   // The encoded pending frontier, parked in the pending-score pool.
   std::vector<core::EncodedState> contexts;
@@ -173,34 +170,6 @@ struct ResilienceService::RepairPipeline {
   Clock::time_point step_begin{}; // start of the current compute step
   Clock::time_point parked_at{};  // last ParkOrSubmit deposit time
   obs::DecisionTrace trace;       // stage accumulators, pushed at completion
-
-  // Mode dispatch: the scheduler/flush code never cares which job kind
-  // is driving, only these.
-  bool JobDone() const { return scoped_job ? scoped_job->done() : job->done(); }
-  const std::vector<sim::Topology>& Frontier() const {
-    return scoped_job ? scoped_job->ProposeFrontier() : job->ProposeFrontier();
-  }
-  void AdvanceJob(const std::vector<double>& scores) {
-    if (scoped_job) {
-      scoped_job->Advance(scores);
-    } else {
-      job->Advance(scores);
-    }
-  }
-  // What frontiers (and the decided state) are scored against: the
-  // H_sub-row sub snapshot in scoped mode, the request snapshot else.
-  const sim::SystemSnapshot& ScoringSnapshot() const {
-    return scoped_job ? scoped_job->scoring_snapshot() : *snapshot;
-  }
-  sim::Topology JobResult() const {
-    return scoped_job ? scoped_job->result() : job->result();
-  }
-  bool ProactiveActed() const {
-    return scoped_job ? scoped_job->proactive_acted() : job->proactive_acted();
-  }
-  core::RepairJobState SaveJobState() const {
-    return scoped_job ? scoped_job->SaveState() : job->SaveState();
-  }
 };
 
 // --- service ------------------------------------------------------------
@@ -659,41 +628,24 @@ void ResilienceService::StartRepairPipeline(
     parked = std::move(pipe->session->parked);
   }
   try {
-    if (parked) {
-      const bool scope_matches =
-          parked->scoped == pipe->scope.has_value() &&
-          (!parked->scoped || parked->scope == *pipe->scope);
-      if (parked->current != pipe->current->assignment() ||
-          parked->failed != *pipe->failed || !scope_matches) {
-        // Not the suspended request: put the state back and reject —
-        // resuming under a different request would splice two searches.
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        pipe->session->parked = std::move(parked);
-        throw std::invalid_argument(
-            "ResilienceService: session holds a parked repair for a "
-            "different request; re-issue the suspended one first");
-      }
-      if (pipe->scope) {
-        // Deterministic re-extraction from the re-issued request, then
-        // the inner sub-space job restores into it.
-        pipe->scoped_job = std::make_unique<core::ScopedRepairJob>(
-            *pipe->current, *pipe->failed, *pipe->snapshot,
-            pipe->scope->hints, pipe->scope->options, pipe->session->cfg,
-            &pipe->session->rng, parked->job);
-      } else {
-        pipe->job.emplace(*pipe->failed, pipe->session->cfg,
-                          &pipe->session->rng, parked->job);
-      }
-    } else if (pipe->scope) {
-      pipe->scoped_job = std::make_unique<core::ScopedRepairJob>(
-          *pipe->current, *pipe->failed, *pipe->snapshot,
-          pipe->scope->hints, pipe->scope->options, pipe->session->cfg,
-          &pipe->session->rng);
-    } else {
-      pipe->job.emplace(*pipe->current, *pipe->failed, *pipe->snapshot,
-                        pipe->session->cfg, &pipe->session->rng);
+    if (parked && (parked->current != pipe->current->assignment() ||
+                   parked->failed != *pipe->failed ||
+                   parked->scope != pipe->scope)) {
+      // Not the suspended request: put the state back and reject —
+      // resuming under a different request would splice two searches.
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      pipe->session->parked = std::move(parked);
+      throw std::invalid_argument(
+          "ResilienceService: session holds a parked repair for a "
+          "different request; re-issue the suspended one first");
     }
-    if (pipe->JobDone()) {
+    // A resumed job re-runs the (deterministic) extraction of a scoped
+    // request and then continues from the parked state.
+    pipe->job.emplace(*pipe->current, *pipe->failed, *pipe->snapshot,
+                      pipe->session->cfg, &pipe->session->rng,
+                      pipe->scope ? &*pipe->scope : nullptr,
+                      parked ? &parked->job : nullptr);
+    if (pipe->job->done()) {
       // Nothing failed and nothing to optimize (or an empty extraction):
       // only the confidence score remains — park it for the next
       // stacked flush.
@@ -737,7 +689,7 @@ void ResilienceService::AdvanceRepairPipeline(
               now - pipe->parked_at)
               .count();
       pipe->step_begin = now;
-      pipe->AdvanceJob(scores);
+      pipe->job->Advance(scores);
       const Clock::time_point spliced = Clock::now();
       pipe->trace.splice_ns +=
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -745,9 +697,9 @@ void ResilienceService::AdvanceRepairPipeline(
               .count();
       pipe->step_begin = spliced;
     } else {
-      pipe->AdvanceJob(scores);
+      pipe->job->Advance(scores);
     }
-    if (pipe->JobDone()) {
+    if (pipe->job->done()) {
       SubmitConfidence(pipe);
       return;
     }
@@ -777,11 +729,8 @@ void ResilienceService::ParkOrSubmit(
       auto state = std::make_unique<ParkedRepair>();
       state->current = pipe->current->assignment();
       state->failed = *pipe->failed;
-      state->job = pipe->SaveJobState();
-      if (pipe->scope) {
-        state->scoped = true;
-        state->scope = *pipe->scope;
-      }
+      state->job = pipe->job->SaveState();
+      state->scope = pipe->scope;
       pipe->session->parked = std::move(state);
       parked = true;
     } else {
@@ -808,9 +757,9 @@ void ResilienceService::SubmitFrontier(
   // Scoped frontiers encode against the H_sub-row sub snapshot — the
   // GON never sees a full-H row — and stack with everything else via
   // the flush's per-H bucketing.
-  pipe->contexts =
-      core::EncodeFrontier(pipe->session->encoder, pipe->ScoringSnapshot(),
-                           pipe->Frontier());
+  pipe->contexts = core::EncodeFrontier(pipe->session->encoder,
+                                        pipe->job->scoring_snapshot(),
+                                        pipe->job->ProposeFrontier());
   if (obs_) {
     const Clock::time_point now = Clock::now();
     pipe->trace.encode_ns +=
@@ -832,21 +781,17 @@ void ResilienceService::SubmitConfidence(
   // Discriminate itself is stacked with every other pending decision in
   // the next flush, so finished repairs never issue lone kernel calls.
   pipe->stage = RepairPipeline::Stage::kConfidence;
-  pipe->response.topology = pipe->JobResult();
-  if (pipe->ProactiveActed()) {
+  pipe->response.topology = pipe->job->result();
+  if (pipe->job->proactive_acted()) {
     proactives_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (pipe->scoped_job && !pipe->scoped_job->subgraph().empty()) {
-    // Confidence on the SUB decision vs the SUB snapshot: an H_sub
-    // Discriminate instead of a full-H one. When the extraction covers
-    // the whole federation this is the identical encoding, so the
-    // scoped confidence matches the unscoped one bit for bit.
-    pipe->final_state = pipe->session->encoder.EncodeForTopology(
-        pipe->scoped_job->scoring_snapshot(), pipe->scoped_job->sub_result());
-  } else {
-    pipe->final_state = pipe->session->encoder.EncodeForTopology(
-        *pipe->snapshot, pipe->response.topology);
-  }
+  // Confidence on the decision in the space it was planned in: a scoped
+  // repair runs an H_sub Discriminate instead of a full-H one. When the
+  // extraction covers the whole federation this is the identical
+  // encoding, so the scoped confidence matches the unscoped one bit for
+  // bit.
+  pipe->final_state = pipe->session->encoder.EncodeForTopology(
+      pipe->job->scoring_snapshot(), pipe->job->sub_result());
   if (obs_) {
     const Clock::time_point now = Clock::now();
     pipe->trace.encode_ns +=
@@ -1191,6 +1136,9 @@ core::CarolConfig ReadCarolConfig(common::BinaryReader& r,
   r.I32();
   c.pot.risk = r.F64();
   c.pot.init_quantile = r.F64();
+  if (!std::isfinite(c.pot.init_quantile)) {
+    throw common::BinaryFormatError("POT init quantile is not finite");
+  }
   c.pot.min_calibration = static_cast<std::size_t>(r.U64());
   c.pot.window = static_cast<std::size_t>(r.U64());
   c.tabu.tabu_list_size = r.I32();
@@ -1337,11 +1285,12 @@ void ResilienceService::WriteSession(common::BinaryWriter& w,
     w.Ints(session.parked->current);
     w.Ints(session.parked->failed);
     WriteRepairJobState(w, session.parked->job);
-    w.Bool(session.parked->scoped);
-    if (session.parked->scoped) {
-      w.I32(session.parked->scope.options.max_hosts);
-      w.Bool(session.parked->scope.options.fill_to_budget);
-      w.Ints(session.parked->scope.hints);
+    const std::optional<RepairScope>& scope = session.parked->scope;
+    w.Bool(scope.has_value());
+    if (scope) {
+      w.I32(scope->options.max_hosts);
+      w.Bool(scope->options.fill_to_budget);
+      w.Ints(scope->hints);
     }
   }
 }
@@ -1372,11 +1321,11 @@ std::shared_ptr<ResilienceService::Session> ResilienceService::ReadSession(
     parked->failed = r.Ints<sim::NodeId>();
     parked->job = ReadRepairJobState(r);
     if (version >= 2 && r.Bool()) {
-      parked->scoped = true;
-      parked->scope.options.enabled = true;
-      parked->scope.options.max_hosts = r.I32();
-      parked->scope.options.fill_to_budget = r.Bool();
-      parked->scope.hints = r.Ints<sim::NodeId>();
+      RepairScope& scope = parked->scope.emplace();
+      scope.options.enabled = true;
+      scope.options.max_hosts = r.I32();
+      scope.options.fill_to_budget = r.Bool();
+      scope.hints = r.Ints<sim::NodeId>();
     }
     session->parked = std::move(parked);
   }

@@ -170,17 +170,9 @@ struct ServiceConfig {
 // the opt-in: `options.enabled` is not consulted here (that flag gates
 // the single-model CarolModel path). Frontiers of a scoped repair are
 // H_sub-node states, so mixed scoped/unscoped traffic stacks through the
-// pipeline's existing per-H bucketing.
-struct RepairScope {
-  core::ScopedRepairOptions options;
-  std::vector<sim::NodeId> hints;
-
-  friend bool operator==(const RepairScope& a, const RepairScope& b) {
-    return a.options.max_hosts == b.options.max_hosts &&
-           a.options.fill_to_budget == b.options.fill_to_budget &&
-           a.hints == b.hints;
-  }
-};
+// pipeline's existing per-H bucketing. It is the scope core::RepairJob
+// takes (core/subgraph.h).
+using RepairScope = core::RepairScope;
 
 struct RepairRequest {
   sim::Topology current;
@@ -324,7 +316,9 @@ class ResilienceService {
   // weights. Call before opening traffic (it blocks the master).
   std::vector<core::EpochStats> TrainOffline(const workload::Trace& trace,
                                              int max_epochs = 30);
-  // Loads pretrained weights into the master and broadcasts them.
+  // Loads pretrained weights (a "carol-params-bin" image, see
+  // nn/serialize.h) into the master and broadcasts them. A failed load
+  // throws and leaves the master's weights and the weight epoch unchanged.
   void LoadWeights(const std::string& path);
   // Checkpoints the master weights under the master lock — safe while
   // traffic (and therefore fine-tuning) is flowing.

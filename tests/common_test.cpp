@@ -7,8 +7,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/binio.h"
@@ -196,6 +198,14 @@ TEST(PercentileTest, EmptyReturnsZero) {
 TEST(PercentileTest, UnsortedInputHandled) {
   const std::vector<double> v = {5, 1, 4, 2, 3};
   EXPECT_DOUBLE_EQ(Percentile(v, 50), 3.0);
+}
+
+TEST(PercentileTest, NanRankThrows) {
+  // A NaN p has no rank: converting it to an index is undefined behaviour
+  // and would read outside the sample.
+  const std::vector<double> v = {1, 2, 3};
+  EXPECT_THROW(Percentile(v, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(StatsTest, MeanAndStddev) {

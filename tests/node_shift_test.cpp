@@ -29,8 +29,7 @@ template <typename Objective>
 TabuSearchState RunTabu(const TabuConfig& config, const sim::Topology& start,
                         const std::vector<bool>& alive,
                         const Objective& objective) {
-  TabuSearchState search(config, start,
-                         LocalMoveNeighbors(alive, NodeShiftOptions{}));
+  TabuSearchState search(config, start, alive, NodeShiftOptions{});
   while (!search.done()) {
     std::vector<double> scores;
     for (const sim::Topology& g : search.ProposeFrontier()) {

@@ -281,14 +281,13 @@ TEST(LocalMovesTest, LazyMaterializationBuildsOnlyRequestedCandidates) {
   const sim::Topology g = sim::Topology::Initial(12, 3);
   const auto alive = AllAlive(12);
   const NodeShiftOptions options;
-  const LazyNeighborFn lazy = LocalMoveNeighbors(alive, options);
-  const LazyFrontier frontier = lazy(g);
+  const std::vector<LocalMove> moves = LocalMoves(g, alive, options);
   const auto eager = MaterializeLocalMoves(g, alive, options);
-  ASSERT_EQ(frontier.count, eager.size());
+  ASSERT_EQ(moves.size(), eager.size());
   // Materialize a sparse subset out of a reused scratch topology.
   sim::Topology scratch;
-  for (std::size_t i = 0; i < frontier.count; i += 3) {
-    frontier.materialize(i, scratch);
+  for (std::size_t i = 0; i < moves.size(); i += 3) {
+    ApplyLocalMove(g, moves[i], scratch);
     EXPECT_TRUE(scratch == eager[i]) << i;
   }
 }
@@ -309,8 +308,7 @@ TEST(TabuStateTest, StepByStepReproducesReferenceRun) {
         ReferenceTabu(config, start, neighbor_fn, ToyScores);
 
     // Drive the state machine by hand, one frontier at a time.
-    TabuSearchState state(config, start,
-                          LocalMoveNeighbors(alive, NodeShiftOptions{}));
+    TabuSearchState state(config, start, alive, NodeShiftOptions{});
     int steps = 0;
     while (!state.done()) {
       state.Advance(ToyScores(state.ProposeFrontier()));
@@ -328,8 +326,7 @@ TEST(TabuStateTest, StepByStepReproducesReferenceRun) {
 TEST(TabuStateTest, FirstFrontierIsTheIncumbent) {
   const sim::Topology start = sim::Topology::Initial(8, 2);
   const auto alive = AllAlive(8);
-  TabuSearchState state(TabuConfig{}, start,
-                        LocalMoveNeighbors(alive, NodeShiftOptions{}));
+  TabuSearchState state(TabuConfig{}, start, alive, NodeShiftOptions{});
   ASSERT_EQ(state.ProposeFrontier().size(), 1u);
   EXPECT_TRUE(state.ProposeFrontier().front() == start);
 }
@@ -337,8 +334,8 @@ TEST(TabuStateTest, FirstFrontierIsTheIncumbent) {
 TEST(TabuStateTest, RejectsMalformedDriving) {
   const sim::Topology start = sim::Topology::Initial(8, 2);
   const auto alive = AllAlive(8);
-  TabuSearchState state(TabuConfig{.max_iterations = 1}, start,
-                        LocalMoveNeighbors(alive, NodeShiftOptions{}));
+  TabuSearchState state(TabuConfig{.max_iterations = 1}, start, alive,
+                        NodeShiftOptions{});
   const std::vector<double> wrong_count = {1.0, 2.0};
   EXPECT_THROW(state.Advance(wrong_count), std::logic_error);
   while (!state.done()) state.Advance(ToyScores(state.ProposeFrontier()));
@@ -383,7 +380,10 @@ TEST(RepairJobTest, PlanDecisionMatchesStepDriving) {
   common::Rng rng_a(11);
   const sim::Topology via_plan =
       PlanDecision(snap.topology, failed, snap, config, rng_a,
-                   TopologyBatchScoreFn(ToyScores));
+                   [](const std::vector<sim::Topology>& frontier,
+                      const sim::SystemSnapshot&) {
+                     return ToyScores(frontier);
+                   });
 
   common::Rng rng_b(11);
   RepairJob job(snap.topology, failed, snap, config, &rng_b);

@@ -7,10 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <initializer_list>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -189,6 +195,90 @@ TEST(ParamsSnapshotTest, BinaryLoadRejectsArchitectureMismatch) {
                common::BinaryFormatError);
 }
 
+// Bit images of every parameter, NaN-safe and comparable with ==.
+std::vector<std::vector<std::uint64_t>> ParameterBits(nn::Module& module) {
+  std::vector<std::vector<std::uint64_t>> bits;
+  for (const nn::Parameter* p : module.Parameters()) {
+    std::vector<std::uint64_t>& row = bits.emplace_back();
+    for (double v : p->value.flat()) {
+      row.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+  }
+  return bits;
+}
+
+TEST(ParamsSnapshotTest, TruncatedImageLeavesModuleUnchanged) {
+  const core::GonConfig cfg = TinyCarolConfig().gon;
+  core::GonModel source(cfg);
+  core::GonConfig other = cfg;
+  other.seed = cfg.seed + 1;  // different init: a partial load would show
+  core::GonModel target(other);
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  nn::SaveParametersBinary(source.network(), buf);
+  const std::string image = buf.str();
+  const auto before = ParameterBits(target.network());
+  std::stringstream cut(image.substr(0, image.size() / 2),
+                        std::ios::in | std::ios::binary);
+  EXPECT_THROW(nn::LoadParametersBinary(target.network(), cut),
+               common::BinaryFormatError);
+  EXPECT_EQ(ParameterBits(target.network()), before);
+}
+
+TEST(ParamsSnapshotTest, NanAndInfiniteWeightsRoundTripThroughFiles) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "carol_params_nan.bin")
+          .string();
+  core::GonModel source(TinyCarolConfig().gon);
+  nn::Parameter& p = *source.network().Parameters().front();
+  p.value.flat()[0] = std::numeric_limits<double>::quiet_NaN();
+  p.value.flat()[1] = std::numeric_limits<double>::infinity();
+  p.value.flat()[2] = -std::numeric_limits<double>::infinity();
+  core::GonConfig other = TinyCarolConfig().gon;
+  other.seed += 1;
+  core::GonModel target(other);
+  nn::SaveParameters(source.network(), path);
+  nn::LoadParameters(target.network(), path);
+  std::remove(path.c_str());
+  EXPECT_EQ(ParameterBits(target.network()),
+            ParameterBits(source.network()));
+}
+
+TEST(ServiceWeightsTest, FailedLoadWeightsLeavesMasterAndEpochUnchanged) {
+  const std::string good =
+      (std::filesystem::temp_directory_path() / "carol_weights_good.bin")
+          .string();
+  const std::string bad =
+      (std::filesystem::temp_directory_path() / "carol_weights_cut.bin")
+          .string();
+  ServiceConfig donor_cfg = TinyServiceConfig(1);
+  donor_cfg.gon.seed += 1;  // weights that differ from the master's
+  ResilienceService(donor_cfg).SaveWeights(good);
+  std::string image;
+  {
+    std::ifstream in(good, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(image.empty());
+  {
+    std::ofstream out(bad, std::ios::binary);
+    out << image.substr(0, image.size() / 2);
+  }
+
+  ResilienceService service(TinyServiceConfig(1));
+  const auto before = ParameterBits(service.master_gon().network());
+  const std::uint64_t epoch = service.weight_epoch();
+  EXPECT_THROW(service.LoadWeights(bad), std::runtime_error);
+  EXPECT_EQ(ParameterBits(service.master_gon().network()), before);
+  EXPECT_EQ(service.weight_epoch(), epoch);
+  // The intact image still loads and bumps the epoch once.
+  service.LoadWeights(good);
+  EXPECT_NE(ParameterBits(service.master_gon().network()), before);
+  EXPECT_EQ(service.weight_epoch(), epoch + 1);
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
+}
+
 TEST(ParamsSnapshotTest, BinaryLoadRejectsTruncatedImage) {
   core::GonModel model(TinyCarolConfig().gon);
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
@@ -209,10 +299,9 @@ TEST(TabuSnapshotTest, MidSearchSnapshotResumesBitIdentically) {
   const sim::Topology start = sim::Topology::Initial(12, 3);
   const std::vector<bool> alive(12, true);
 
-  core::TabuSearchState reference(
-      cfg, start, core::LocalMoveNeighbors(alive, core::NodeShiftOptions{}));
-  core::TabuSearchState live(
-      cfg, start, core::LocalMoveNeighbors(alive, core::NodeShiftOptions{}));
+  core::TabuSearchState reference(cfg, start, alive,
+                                  core::NodeShiftOptions{});
+  core::TabuSearchState live(cfg, start, alive, core::NodeShiftOptions{});
 
   // Step both in lockstep for a couple of frontiers, then capture `live`
   // at the park point (frontier proposed, scores pending).
@@ -224,11 +313,10 @@ TEST(TabuSnapshotTest, MidSearchSnapshotResumesBitIdentically) {
   ASSERT_FALSE(live.done());
   const core::TabuSearchSnapshot snapshot = live.Snapshot();
 
-  // "Restart": a fresh state rebuilt from the snapshot with an
-  // equivalent neighbor callback must finish exactly like the original.
-  core::TabuSearchState resumed(
-      cfg, core::LocalMoveNeighbors(alive, core::NodeShiftOptions{}),
-      snapshot);
+  // "Restart": a fresh state rebuilt from the snapshot with the same
+  // neighborhood inputs must finish exactly like the original.
+  core::TabuSearchState resumed(cfg, alive, core::NodeShiftOptions{},
+                                snapshot);
   while (!reference.done()) {
     reference.Advance(ToyScores(reference.ProposeFrontier()));
   }
@@ -265,7 +353,8 @@ TEST(RepairJobSnapshotTest, MidDispatchSaveRestoreResumesBitIdentically) {
   // rebuilt from the saved state; both runs must land on one topology.
   common::Rng resumed_rng(0);
   resumed_rng.LoadState(rng_state);
-  core::RepairJob resumed(failed, cfg, &resumed_rng, state);
+  core::RepairJob resumed(snap.topology, failed, snap, cfg, &resumed_rng,
+                          nullptr, &state);
   while (!reference.done()) {
     reference.Advance(ToyScores(reference.ProposeFrontier()));
   }
@@ -492,11 +581,14 @@ TEST(ServiceSnapshotTest, SnapshotRequiresQuiescence) {
 
 TEST(ServiceSnapshotTest, RestoreRejectsCorruptImage) {
   const ServiceConfig cfg = TinyServiceConfig(1);
-  auto one_session_image = [&](core::FineTunePolicy policy) {
+  const double init_quantile = TinyCarolConfig().pot.init_quantile;
+  auto one_session_image = [&](core::FineTunePolicy policy,
+                               double quantile) {
     ResilienceService service(cfg);
     FederationSpec spec;
     spec.carol = TinyCarolConfig();
     spec.carol.policy = policy;
+    spec.carol.pot.init_quantile = quantile;
     service.OpenSession(spec);
     service.BeginDrain();
     service.WaitDrained();
@@ -505,7 +597,7 @@ TEST(ServiceSnapshotTest, RestoreRejectsCorruptImage) {
     return image.str();
   };
   const std::string bytes =
-      one_session_image(core::FineTunePolicy::kConfidence);
+      one_session_image(core::FineTunePolicy::kConfidence, init_quantile);
 
   std::stringstream truncated(bytes.substr(0, bytes.size() - 7),
                               std::ios::in | std::ios::binary);
@@ -519,7 +611,8 @@ TEST(ServiceSnapshotTest, RestoreRejectsCorruptImage) {
   // A policy outside FineTunePolicy must not restore a session whose gate
   // then silently never fine-tunes. Two images differing only in policy
   // locate its byte.
-  const std::string never = one_session_image(core::FineTunePolicy::kNever);
+  const std::string never =
+      one_session_image(core::FineTunePolicy::kNever, init_quantile);
   ASSERT_EQ(never.size(), bytes.size());
   std::vector<std::size_t> diffs;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -530,6 +623,32 @@ TEST(ServiceSnapshotTest, RestoreRejectsCorruptImage) {
   bad_policy[diffs[0]] = 7;
   std::stringstream patched(bad_policy, std::ios::in | std::ios::binary);
   EXPECT_THROW(ResilienceService(cfg, patched), common::BinaryFormatError);
+
+  // A NaN POT init quantile must not restore either: the session's first
+  // calibration would turn it into a Percentile rank. Two images
+  // differing only in init_quantile locate its F64.
+  auto f64 = [](double v) {
+    std::stringstream out(std::ios::out | std::ios::binary);
+    common::BinaryWriter(out).F64(v);
+    return out.str();
+  };
+  const double other_quantile = 0.5;
+  const std::string moved =
+      one_session_image(core::FineTunePolicy::kConfidence, other_quantile);
+  ASSERT_EQ(moved.size(), bytes.size());
+  std::vector<std::size_t> quantile_at;
+  for (std::size_t i = 0; i + 8 <= bytes.size(); ++i) {
+    if (bytes.compare(i, 8, f64(init_quantile)) == 0 &&
+        moved.compare(i, 8, f64(other_quantile)) == 0) {
+      quantile_at.push_back(i);
+    }
+  }
+  ASSERT_EQ(quantile_at.size(), 1u);
+  std::string nan_quantile = bytes;
+  nan_quantile.replace(quantile_at[0], 8,
+                       f64(std::numeric_limits<double>::quiet_NaN()));
+  std::stringstream nan_image(nan_quantile, std::ios::in | std::ios::binary);
+  EXPECT_THROW(ResilienceService(cfg, nan_image), common::BinaryFormatError);
 
   // A matrix header whose rows * cols wraps to 0 must not restore as a
   // storage-less matrix. One healthy Observe leaves one Gamma entry, and

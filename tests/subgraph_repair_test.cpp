@@ -182,8 +182,8 @@ TEST(RepairSubgraphTest, CoversFullBitIdenticalSyntheticScorer) {
     common::Rng rng_full(seed);
     common::Rng rng_scoped(seed);
     core::RepairJob job(current, failed, snapshot, cfg, &rng_full);
-    core::ScopedRepairJob scoped(current, failed, snapshot, {},
-                                 CoversFullOptions(32), cfg, &rng_scoped);
+    core::RepairJob scoped(current, failed, snapshot, {},
+                           CoversFullOptions(32), cfg, &rng_scoped);
     ASSERT_TRUE(scoped.subgraph().covers_full());
 
     while (!job.done() || !scoped.done()) {
@@ -225,16 +225,18 @@ TEST(RepairSubgraphTest, CoversFullBitIdenticalGonEndToEnd) {
 
   common::Rng rng_full(77);
   common::Rng rng_scoped(77);
-  const core::TopologyBatchScoreFn score =
-      [&](const std::vector<sim::Topology>& frontier) {
-        return core::ScoreTopologiesWith(gon_a, encoder, cfg.alpha, cfg.beta,
-                                         frontier, snapshot);
-      };
+  auto score_with = [&](core::GonModel& gon) -> core::TopologyBatchScoreFn {
+    return [&](const std::vector<sim::Topology>& frontier,
+               const sim::SystemSnapshot& scoring) {
+      return core::ScoreTopologiesWith(gon, encoder, cfg.alpha, cfg.beta,
+                                       frontier, scoring);
+    };
+  };
+  const core::RepairScope scope{CoversFullOptions(32), {}};
   const sim::Topology full_decision = core::PlanDecision(
-      current, failed, snapshot, cfg, rng_full, score);
-  const sim::Topology scoped_decision = core::PlanScopedDecision(
-      current, failed, snapshot, {}, CoversFullOptions(32), cfg, rng_scoped,
-      gon_b, encoder);
+      current, failed, snapshot, cfg, rng_full, score_with(gon_a));
+  const sim::Topology scoped_decision = core::PlanDecision(
+      current, failed, snapshot, cfg, rng_scoped, score_with(gon_b), &scope);
 
   EXPECT_TRUE(full_decision == scoped_decision);
   EXPECT_EQ(full_decision.Hash(), scoped_decision.Hash());
@@ -254,8 +256,7 @@ TEST(RepairSubgraphTest, SaveRestoreMidSearchContinuesBitIdentically) {
 
   // Reference: uninterrupted run.
   common::Rng rng_ref(5150);
-  core::ScopedRepairJob ref(current, failed, snapshot, {}, opt, cfg,
-                            &rng_ref);
+  core::RepairJob ref(current, failed, snapshot, {}, opt, cfg, &rng_ref);
   while (!ref.done()) ref.Advance(ScoreAll(ref.ProposeFrontier()));
 
   // Interrupted run: one step, park, restore, finish.
@@ -263,8 +264,7 @@ TEST(RepairSubgraphTest, SaveRestoreMidSearchContinuesBitIdentically) {
   core::RepairJobState parked;
   std::string rng_state;
   {
-    core::ScopedRepairJob first(current, failed, snapshot, {}, opt, cfg,
-                                &rng_a);
+    core::RepairJob first(current, failed, snapshot, {}, opt, cfg, &rng_a);
     ASSERT_FALSE(first.done());
     first.Advance(ScoreAll(first.ProposeFrontier()));
     parked = first.SaveState();
@@ -272,8 +272,9 @@ TEST(RepairSubgraphTest, SaveRestoreMidSearchContinuesBitIdentically) {
   }
   common::Rng rng_b(0);
   rng_b.LoadState(rng_state);
-  core::ScopedRepairJob resumed(current, failed, snapshot, {}, opt, cfg,
-                                &rng_b, parked);
+  const core::RepairScope scope{opt, {}};
+  core::RepairJob resumed(current, failed, snapshot, cfg, &rng_b, &scope,
+                          &parked);
   while (!resumed.done()) {
     resumed.Advance(ScoreAll(resumed.ProposeFrontier()));
   }
@@ -353,8 +354,8 @@ TEST(SpliceBackTest, FuzzedScopedRepairsSurviveFederationAudit) {
     opt.max_hosts = 16 + static_cast<int>(fuzz.Choice(48));
     opt.fill_to_budget = fuzz.Choice(2) == 0;
 
-    core::ScopedRepairJob job(current, failed, fed.last_snapshot(), hints,
-                              opt, search_cfg, &plan_rng);
+    core::RepairJob job(current, failed, fed.last_snapshot(), hints, opt,
+                        search_cfg, &plan_rng);
     EXPECT_LT(job.subgraph().sub_hosts(), hosts)
         << "extraction unexpectedly covered the full federation";
     while (!job.done()) job.Advance(ScoreAll(job.ProposeFrontier()));
@@ -394,7 +395,7 @@ TEST(RepairSubgraphTest, ScopedExtractionAtH512) {
   const core::CarolConfig cfg = SmallSearchConfig();
   common::Rng rng(41);
   sim::SystemSnapshot snapshot;
-  core::ScopedRepairJob job(current, failed, snapshot, {}, opt, cfg, &rng);
+  core::RepairJob job(current, failed, snapshot, {}, opt, cfg, &rng);
   while (!job.done()) job.Advance(ScoreAll(job.ProposeFrontier()));
   const sim::Topology decided = job.result();
   ASSERT_TRUE(decided.IsValid());
