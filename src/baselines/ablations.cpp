@@ -89,7 +89,6 @@ nn::Matrix WithGanSurrogate::PredictMetrics(
     }
   }
   nn::Tape tape;
-  generator_->ClearBindings();
   return generator_->Forward(tape, tape.Leaf(input)).val();
 }
 
@@ -133,7 +132,6 @@ void WithGanSurrogate::TrainOffline(const workload::Trace& trace,
     for (std::size_t idx = 0; idx < take; ++idx) {
       const core::EncodedState& state = data[order[idx]];
       nn::Tape tape;
-      generator_->ClearBindings();
       const std::size_t h = state.num_hosts();
       nn::Matrix input(h, kGenInput);
       for (std::size_t i = 0; i < h; ++i) {
@@ -150,7 +148,6 @@ void WithGanSurrogate::TrainOffline(const workload::Trace& trace,
       nn::Value recon = nn::MseLoss(tape, fake, state.m);
       gen_opt_->ZeroGrad();
       tape.Backward(recon);
-      generator_->CollectGrads();
       gen_opt_->Step();
     }
   }
@@ -230,7 +227,6 @@ std::pair<double, double> TraditionalSurrogate::PredictQos(
   nn::Matrix x(1, features.size());
   for (std::size_t k = 0; k < features.size(); ++k) x(0, k) = features[k];
   nn::Tape tape;
-  net_->ClearBindings();
   const nn::Matrix out = net_->Forward(tape, tape.Leaf(x)).val();
   return {out(0, 0), out(0, 1)};
 }
@@ -255,12 +251,10 @@ void TraditionalSurrogate::SupervisedStep(
   target(0, 0) = energy;
   target(0, 1) = slo;
   nn::Tape tape;
-  net_->ClearBindings();
   nn::Value pred = net_->Forward(tape, tape.Leaf(x));
   nn::Value loss = nn::MseLoss(tape, pred, target);
   optimizer_->ZeroGrad();
   tape.Backward(loss);
-  net_->CollectGrads();
   optimizer_->Step();
 }
 

@@ -61,8 +61,6 @@ double Fras::PredictQos(const sim::Topology& candidate,
   // Unroll the recurrent surrogate over the history window and the
   // candidate-encoded present; the sigmoid head emits normalized QoS cost.
   nn::Tape tape;
-  cell_->ClearBindings();
-  head_->ClearBindings();
   auto state = cell_->InitialState(tape, 1);
   for (const auto& [input, qos] : history_) {
     nn::Matrix x(1, kInputWidth);
@@ -118,8 +116,6 @@ sim::Topology Fras::Repair(const sim::Topology& current,
 void Fras::FineTuneStep() {
   // One BPTT pass over the stored window against observed QoS labels.
   nn::Tape tape;
-  cell_->ClearBindings();
-  head_->ClearBindings();
   auto state = cell_->InitialState(tape, 1);
   nn::Value loss;
   bool first = true;
@@ -139,8 +135,6 @@ void Fras::FineTuneStep() {
       tape.Scale(loss, 1.0 / static_cast<double>(history_.size()));
   optimizer_->ZeroGrad();
   tape.Backward(tape.SumAll(mean_loss));
-  cell_->CollectGrads();
-  head_->CollectGrads();
   optimizer_->Step();
 }
 

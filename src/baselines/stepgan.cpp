@@ -75,7 +75,6 @@ nn::Matrix StepGan::WindowMatrix(std::size_t steps) const {
 double StepGan::WindowScore() {
   if (window_.empty()) return 0.5;
   nn::Tape tape;
-  discriminator_->ClearBindings();
   return discriminator_->Forward(tape, tape.Leaf(WindowMatrix(window_.size())))
       .scalar();
 }
@@ -90,32 +89,29 @@ void StepGan::TrainStep(std::size_t steps) {
   {
     // Discriminator update on (real, fake.detach()).
     nn::Tape tape;
-    generator_->ClearBindings();
-    discriminator_->ClearBindings();
     nn::Value fake = generator_->Forward(tape, tape.Leaf(noise));
-    nn::Value fake_const = tape.Leaf(fake.val());  // detached copy
-    generator_->ClearBindings();                   // drop gen bindings
+    // Detached copy: the loss never reaches the generator's leaves, so
+    // Backward adds nothing to its gradients.
+    nn::Value fake_const = tape.Leaf(fake.val());
     nn::Value d_real =
         discriminator_->Forward(tape, tape.Leaf(real));
     nn::Value d_fake = discriminator_->Forward(tape, fake_const);
     nn::Value loss = nn::GanDiscriminatorLoss(tape, d_real, d_fake);
     disc_opt_->ZeroGrad();
     tape.Backward(loss);
-    discriminator_->CollectGrads();
     disc_opt_->Step();
   }
   {
     // Generator update: maximize log D(G(z)).
+    // Backward also adds this step's gradient into the discriminator's
+    // Parameter::grad; nothing reads it, because the discriminator update
+    // zeroes its gradients before its own Backward.
     nn::Tape tape;
-    generator_->ClearBindings();
-    discriminator_->ClearBindings();
     nn::Value fake = generator_->Forward(tape, tape.Leaf(noise));
     nn::Value d_fake = discriminator_->Forward(tape, fake);
     nn::Value loss = tape.Neg(tape.Log(d_fake));
     gen_opt_->ZeroGrad();
     tape.Backward(tape.SumAll(loss));
-    generator_->CollectGrads();
-    discriminator_->ClearBindings();  // generator step leaves D untouched
     gen_opt_->Step();
   }
 }

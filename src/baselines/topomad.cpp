@@ -65,10 +65,6 @@ double Topomad::AnomalyScore() {
   if (window_.empty()) return 0.0;
   // Encode the window, decode the last step, report the MSE.
   nn::Tape tape;
-  encoder_->ClearBindings();
-  mu_head_->ClearBindings();
-  logvar_head_->ClearBindings();
-  decoder_->ClearBindings();
   auto state = encoder_->InitialState(tape, 1);
   for (const auto& row : window_) {
     nn::Matrix x(1, kFeatureWidth);
@@ -88,10 +84,6 @@ double Topomad::AnomalyScore() {
 void Topomad::TrainStep() {
   if (window_.size() < 2) return;
   nn::Tape tape;
-  encoder_->ClearBindings();
-  mu_head_->ClearBindings();
-  logvar_head_->ClearBindings();
-  decoder_->ClearBindings();
   auto state = encoder_->InitialState(tape, 1);
   for (const auto& row : window_) {
     nn::Matrix x(1, kFeatureWidth);
@@ -120,10 +112,6 @@ void Topomad::TrainStep() {
   nn::Value loss = tape.Add(recon_loss, tape.Scale(kl, 0.01));
   optimizer_->ZeroGrad();
   tape.Backward(loss);
-  encoder_->CollectGrads();
-  mu_head_->CollectGrads();
-  logvar_head_->CollectGrads();
-  decoder_->CollectGrads();
   optimizer_->Step();
 }
 

@@ -110,7 +110,7 @@ RepairJob::RepairJob(const sim::Topology& current,
                      const RepairJobState* resume)
     : current_(&current),
       snapshot_(&snapshot),
-      failed_(&failed_brokers),
+      failed_(failed_brokers),
       config_(&config),
       rng_(rng) {
   if (options != nullptr) {
@@ -125,7 +125,7 @@ RepairJob::RepairJob(const sim::Topology& current,
       return;
     }
     sub_snapshot_ = subgraph_.SubSnapshot(snapshot);
-    failed_ = &subgraph_.sub_failed();
+    failed_ = subgraph_.sub_failed();
   }
 
   if (resume != nullptr) {
@@ -149,10 +149,10 @@ RepairJob::RepairJob(const sim::Topology& current,
 
   topo_ = subgraph_.empty() ? current : subgraph_.sub_topology();
   const sim::SystemSnapshot& planning = scoring_snapshot();
-  if (!failed_->empty()) {
+  if (!failed_.empty()) {
     alive_ = AliveForTopology(planning, topo_);
     // Every failed broker is byzantine: exclude from candidate roles.
-    for (sim::NodeId b : *failed_) {
+    for (sim::NodeId b : failed_) {
       if (static_cast<std::size_t>(b) < alive_.size()) {
         alive_[static_cast<std::size_t>(b)] = false;
       }
@@ -199,8 +199,8 @@ sim::Topology RepairJob::result() const {
 }
 
 void RepairJob::StartNextBrokerSearch() {
-  while (broker_idx_ < failed_->size()) {
-    const sim::NodeId failed = (*failed_)[broker_idx_];
+  while (broker_idx_ < failed_.size()) {
+    const sim::NodeId failed = failed_[broker_idx_];
     if (!topo_.is_broker(failed)) {  // repaired by an earlier step
       ++broker_idx_;
       continue;

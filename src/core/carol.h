@@ -164,11 +164,12 @@ struct RepairJobState {
 // at once and every space is the full one.
 class RepairJob {
  public:
-  // Reference arguments are borrowed for the lifetime of the job; `scope`
-  // and `resume` only while it is constructed. With failed brokers the
-  // job repairs each one in list order; otherwise it runs the proactive
-  // extension when `config.proactive` is on, and is done at once when it
-  // is off. `rng` is consumed only for repair starts (Algorithm 2 line 7).
+  // `current` and `snapshot` are borrowed for the lifetime of the job;
+  // `failed_brokers` is copied, and `scope` and `resume` are borrowed
+  // only while it is constructed. With failed brokers the job repairs
+  // each one in list order; otherwise it runs the proactive extension
+  // when `config.proactive` is on, and is done at once when it is off.
+  // `rng` is consumed only for repair starts (Algorithm 2 line 7).
   //
   // With `resume` the job continues a state captured by SaveState()
   // instead of starting. The other arguments must equal the original
@@ -244,7 +245,7 @@ class RepairJob {
 
   const sim::Topology* current_;
   const sim::SystemSnapshot* snapshot_;
-  const std::vector<sim::NodeId>* failed_;  // sub-space list when scoped
+  std::vector<sim::NodeId> failed_;  // sub-space list when scoped
   const CarolConfig* config_;
   common::Rng* rng_;
   RepairSubgraph subgraph_;

@@ -47,10 +47,6 @@ struct GonModel::Network : nn::Module {
     for (auto* p : head.Parameters()) out.push_back(p);
     return out;
   }
-
-  std::vector<nn::Module*> Children() override {
-    return {&ms_encoder, &gat, &head};
-  }
 };
 
 // Recycled buffers for the tape-free scoring path and the stacked tape
@@ -78,7 +74,7 @@ GonModel::GonModel(const GonConfig& config)
     : config_(config), rng_(config.seed) {
   net_impl_ = std::make_unique<Network>(config_, rng_);
   optimizer_ = std::make_unique<nn::Adam>(
-      net().Parameters(), config_.train_lr, 0.9, 0.999, 1e-8,
+      net_impl_->Parameters(), config_.train_lr, 0.9, 0.999, 1e-8,
       config_.weight_decay);
   inference_ = std::make_unique<InferenceWorkspace>();
 }
@@ -319,15 +315,6 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
   std::vector<const EncodedState*> sub_ctx;
   InferenceWorkspace& ws = *inference_;
 
-  // The ascent only reads grad_M; freezing the network skips every dW/db
-  // accumulation in the backward sweep (roughly a third of its flops).
-  // Scope guard: a throw mid-ascent must not leave the network frozen
-  // (frozen bindings would silently zero all training gradients).
-  struct FrozenGuard {
-    nn::Module* net;
-    explicit FrozenGuard(nn::Module* n) : net(n) { net->SetFrozen(true); }
-    ~FrozenGuard() { net->SetFrozen(false); }
-  } frozen_guard(&net());
   // Each global step advances every still-active candidate by exactly the
   // update a lone ascent would have applied at that step: the stacked
   // forward/backward is row-block independent per candidate.
@@ -349,8 +336,10 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
       sub_ctx.push_back(contexts[act_idx[a]]);
     }
 
-    tape_.Reset();
-    net().ClearBindings();
+    // The ascent only reads grad_M: a build that binds the weights as
+    // constants skips every dW/db accumulation in the backward sweep
+    // (roughly a third of its flops).
+    tape_.Reset(/*param_grads=*/false);
     nn::Value m = tape_.LeafRef(ws.m_stack, /*requires_grad=*/true);
     nn::Value d = ForwardBatch(tape_, m, sub_ctx);
     // Sum of per-candidate log-likelihoods: the per-candidate gradient
@@ -453,7 +442,6 @@ double GonModel::TrainBatch(const std::vector<const EncodedState*>& batch) {
   }
 
   tape_.Reset();
-  net().ClearBindings();
   const std::span<const EncodedState* const> ctx_span(batch);
   InferenceWorkspace& ws = *inference_;
   nn::Value d_real = ForwardBatch(tape_, StackLeaf(tape_, real_ms), ctx_span);
@@ -479,7 +467,6 @@ double GonModel::TrainBatch(const std::vector<const EncodedState*>& batch) {
       tape_.Scale(tape_.Neg(logsum), 1.0 / static_cast<double>(b));
   optimizer_->ZeroGrad();
   tape_.Backward(loss);
-  net().CollectGrads();
   optimizer_->Step();
   return loss.scalar();
 }
@@ -587,7 +574,9 @@ void GonModel::FineTune(const std::vector<EncodedState>& recent,
   }
 }
 
-std::size_t GonModel::ParameterCount() { return net().ParameterCount(); }
+std::size_t GonModel::ParameterCount() {
+  return net_impl_->ParameterCount();
+}
 
 double GonModel::MemoryFootprintMb() const {
   const double params =

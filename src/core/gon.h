@@ -18,14 +18,16 @@
 // Latency design (the paper's headline metric is per-interval decision
 // time): scoring runs on a tape-free inference workspace with recycled
 // buffers; generation reuses ONE arena tape across ascent steps and
-// intervals; and the *Batch entry points stack K candidate states into a
-// single kernel pass, so scoring the node-shift neighborhood costs one
-// forward instead of K. This is the only execution path: a single-state
-// call is a batch of one. Per-host encoder rows and per-state attention
-// blocks are independent, so a batch matches one-state calls exactly
-// (pinned against an unfused fresh-tape reference in
-// tests/matrix_perf_test.cpp). Not thread-safe: use one GonModel per
-// thread.
+// intervals, each step a frozen build (Tape::Reset(false): the weights
+// bind as constants, so the backward computes grad_M only, and a throw
+// leaves nothing to restore); and the *Batch entry points stack K
+// candidate states into a single kernel pass, so scoring the node-shift
+// neighborhood costs one forward instead of K. This is the only
+// execution path: a single-state call is a batch of one. Per-host
+// encoder rows and per-state attention blocks are independent, so a
+// batch matches one-state calls exactly (pinned against an unfused
+// fresh-tape reference in tests/matrix_perf_test.cpp). Not thread-safe:
+// use one GonModel per thread.
 #ifndef CAROL_CORE_GON_H_
 #define CAROL_CORE_GON_H_
 
@@ -158,14 +160,12 @@ class GonModel {
                       std::span<const nn::Matrix* const> ms);
   static bool SameHostCount(std::span<const EncodedState* const> states);
 
-  // Typed view over net_impl_ (replaces the old raw facade pointer).
-  nn::Module& net() { return network(); }
-
   GonConfig config_;
   common::Rng rng_;
   std::unique_ptr<Network> net_impl_;
   std::unique_ptr<nn::Adam> optimizer_;
-  // Arena tape recycled across scoring/generation/training calls.
+  // Arena tape recycled across generation and training builds; a
+  // training build's Backward adds into the network's Parameter::grad.
   nn::Tape tape_;
   std::unique_ptr<InferenceWorkspace> inference_;
 };

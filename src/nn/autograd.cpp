@@ -87,6 +87,12 @@ Value Tape::LeafRef(const Matrix& m, bool requires_grad) {
   return Value(this, self);
 }
 
+Value Tape::ParamLeaf(const Matrix& value, Matrix& grad) {
+  Value leaf = LeafRef(value, param_grads_);
+  if (param_grads_) param_leaves_.emplace_back(leaf.idx_, &grad);
+  return leaf;
+}
+
 Value Tape::Add(Value a, Value b) {
   const std::size_t ia = a.idx_, ib = b.idx_;
   const std::size_t self = AcquireIndex();
@@ -632,11 +638,17 @@ void Tape::Backward(Value output) {
     if (!nodes_[i].requires_grad) continue;
     nodes_[i].backward(*this, i);
   }
+  // A reached parameter leaf requires grad, so its gradient is shaped.
+  for (const auto& [idx, grad] : param_leaves_) {
+    if (reach_[idx]) grad->AddInPlace(nodes_[idx].grad);
+  }
 }
 
 void Tape::Clear() {
   nodes_.clear();
   live_ = 0;
+  param_leaves_.clear();
+  param_grads_ = true;
 }
 
 }  // namespace carol::nn

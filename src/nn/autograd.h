@@ -11,6 +11,12 @@
 // topological order, so the backward pass is a reverse sweep over the
 // subgraph reachable from the seed.
 //
+// The tape also owns parameter gradients. Module::Bind turns a Parameter
+// into a tape leaf, and the tape records the pair (leaf, &param.grad);
+// Backward ends by adding each reached leaf's gradient into its
+// Parameter::grad. Whether this build's parameter leaves record
+// gradients at all is chosen when the build starts (Reset).
+//
 // Hot-path design (see src/nn/README.md):
 //   * The tape is an arena: `Reset()` recycles node slots AND their matrix
 //     buffers, so a tape owned by a per-interval loop (GonModel keeps one)
@@ -29,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "nn/kernels.h"
@@ -71,7 +78,7 @@ class Tape {
   // gradients during Backward. The matrix is moved into the node.
   Value Leaf(Matrix m, bool requires_grad = false);
   // Like Leaf but copies `m` into the node's recycled buffer — the
-  // allocation-free form for arena reuse (Module::Bind and the GON
+  // allocation-free form for arena reuse (parameter leaves and the GON
   // per-interval loops use this).
   Value LeafRef(const Matrix& m, bool requires_grad = false);
 
@@ -125,15 +132,28 @@ class Tape {
   // produce all zeros. Used by the graph-attention layer.
   Value MaskedRowSoftmax(Value a, Matrix mask);
 
-  // Seeds d(output)/d(output) = 1 and sweeps the reachable subgraph.
-  // `output` must be 1x1; throws std::invalid_argument otherwise.
+  // Seeds d(output)/d(output) = 1 and sweeps the reachable subgraph,
+  // then adds each recorded parameter leaf's gradient into its
+  // Parameter::grad, in recording order (a leaf the sweep did not reach
+  // adds nothing). `output` must be 1x1; throws std::invalid_argument
+  // otherwise. Call it once per build: node gradients persist until the
+  // next Reset, so a second call would add them into the parameters again.
   void Backward(Value output);
 
   // Recycles the tape: node count drops to zero but node slots and their
   // matrix buffers are retained for the next build. Outstanding Value
   // handles become invalid. This is the per-interval fast path.
-  void Reset() { live_ = 0; }
-  // Drops all nodes AND their storage; outstanding handles become invalid.
+  // `param_grads` chooses, for the build that starts, whether parameter
+  // leaves record gradients; false binds them as constants, so a build
+  // whose backward only needs input gradients skips every dW/db.
+  void Reset(bool param_grads = true) {
+    live_ = 0;
+    param_leaves_.clear();
+    param_grads_ = param_grads;
+  }
+  // Drops all nodes AND their storage; outstanding handles become
+  // invalid. The next build records parameter gradients, as on a new
+  // tape.
   void Clear();
   std::size_t size() const { return live_; }
   // Number of retained (live + recyclable) node slots.
@@ -144,6 +164,12 @@ class Tape {
 
  private:
   friend class Value;
+  friend class Module;  // Module::Bind is the only caller of ParamLeaf
+
+  // A leaf holding a copy of `value` whose gradient Backward adds into
+  // `grad`; a constant leaf, recorded nowhere, when this build does not
+  // record parameter gradients.
+  Value ParamLeaf(const Matrix& value, Matrix& grad);
 
   struct Node {
     Matrix value;
@@ -185,6 +211,9 @@ class Tape {
   // Reusable Backward scratch.
   std::vector<char> reach_;
   std::vector<std::size_t> stack_;
+  // This build's parameter leaves: (node index, Parameter::grad).
+  std::vector<std::pair<std::size_t, Matrix*>> param_leaves_;
+  bool param_grads_ = true;
 };
 
 }  // namespace carol::nn

@@ -19,29 +19,8 @@ void Module::ZeroGrad() {
   for (Parameter* p : Parameters()) p->grad.Fill(0.0);
 }
 
-void Module::CollectGrads() {
-  for (auto& [param, leaf] : bindings_) {
-    param->grad += leaf.grad();
-  }
-  bindings_.clear();
-  for (Module* child : Children()) child->CollectGrads();
-}
-
-void Module::ClearBindings() {
-  bindings_.clear();
-  for (Module* child : Children()) child->ClearBindings();
-}
-
-void Module::SetFrozen(bool frozen) {
-  frozen_ = frozen;
-  for (Module* child : Children()) child->SetFrozen(frozen);
-}
-
 Value Module::Bind(Tape& tape, Parameter& param) {
-  // LeafRef copies into the tape's recycled buffer (arena fast path).
-  Value leaf = tape.LeafRef(param.value, /*requires_grad=*/!frozen_);
-  if (!frozen_) bindings_.emplace_back(&param, leaf);
-  return leaf;
+  return tape.ParamLeaf(param.value, param.grad);
 }
 
 FusedAct ToFusedAct(Activation act) {
@@ -107,13 +86,6 @@ std::vector<Parameter*> Mlp::Parameters() {
   for (auto& layer : layers_) {
     for (Parameter* p : layer.Parameters()) out.push_back(p);
   }
-  return out;
-}
-
-std::vector<Module*> Mlp::Children() {
-  std::vector<Module*> out;
-  out.reserve(layers_.size());
-  for (auto& layer : layers_) out.push_back(&layer);
   return out;
 }
 

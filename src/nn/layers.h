@@ -20,8 +20,9 @@
 
 namespace carol::nn {
 
-// A trainable tensor. Gradients are accumulated here (across a whole
-// minibatch graph) by Module::CollectGrads after Tape::Backward.
+// A trainable tensor. Tape::Backward adds the gradients of every leaf
+// this parameter was bound as into `grad` (summing across a whole
+// minibatch graph); optimizers read and zero it.
 struct Parameter {
   std::string name;
   Matrix value;
@@ -36,20 +37,15 @@ struct Parameter {
 };
 
 // Base class for anything that owns Parameters. Forward passes bind
-// parameters as tape leaves; after Backward, CollectGrads moves the leaf
-// gradients into Parameter::grad (summing across all bindings made since
-// the last ClearBindings, i.e. across a minibatch).
+// parameters as tape leaves (Bind), and the tape adds their gradients
+// into Parameter::grad at Backward. A module keeps no per-tape state:
+// a tape may be destroyed right after a forward, and the module trains
+// on the next tape with no clearing call.
 class Module {
  public:
   virtual ~Module() = default;
 
   virtual std::vector<Parameter*> Parameters() = 0;
-
-  // Composite modules (Mlp, the GON network, ...) MUST expose their
-  // sub-modules here: forward passes record parameter->leaf bindings on
-  // the sub-module that owns the parameter, and CollectGrads /
-  // ClearBindings traverse the module tree to reach them.
-  virtual std::vector<Module*> Children() { return {}; }
 
   // Total number of scalar parameters.
   std::size_t ParameterCount();
@@ -58,27 +54,12 @@ class Module {
   double ParameterMegabytes();
 
   void ZeroGrad();
-  // Sums leaf grads recorded during forward passes into Parameter::grad,
-  // recursively over the module tree.
-  void CollectGrads();
-  // Must be called whenever a new tape is started (bindings reference the
-  // previous tape's nodes). Recursive.
-  void ClearBindings();
-  // Frozen modules bind parameters as constants (no gradient, no
-  // binding record): forward passes whose backward only needs input
-  // gradients — the GON input-space ascent — skip every dW/db
-  // accumulation. Recursive over the module tree.
-  void SetFrozen(bool frozen);
-  bool frozen() const { return frozen_; }
 
  protected:
-  // Binds `param` as a requires-grad leaf on `tape` and records the
-  // binding for CollectGrads (constant leaf, no record, when frozen).
+  // Binds `param` as a leaf on `tape`. It records a gradient, which
+  // Backward adds into `param.grad`, unless the tape's current build
+  // binds parameters as constants (Tape::Reset).
   Value Bind(Tape& tape, Parameter& param);
-
- private:
-  std::vector<std::pair<Parameter*, Value>> bindings_;
-  bool frozen_ = false;
 };
 
 enum class Activation { kNone, kRelu, kTanh, kSigmoid };
@@ -126,7 +107,6 @@ class Mlp : public Module {
 
   Value Forward(Tape& tape, Value x);
   std::vector<Parameter*> Parameters() override;
-  std::vector<Module*> Children() override;
   std::size_t depth() const { return layers_.size(); }
 
   // Tape-free forward for inference hot paths. `scratch` supplies two

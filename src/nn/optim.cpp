@@ -14,26 +14,6 @@ std::size_t Optimizer::num_parameters() const {
   return total;
 }
 
-Sgd::Sgd(std::vector<Parameter*> params, double lr, double momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    velocity_.push_back(Matrix::Zeros(p->value.rows(), p->value.cols()));
-  }
-}
-
-void Sgd::Step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    if (momentum_ > 0.0) {
-      velocity_[i] = velocity_[i] * momentum_ + p.grad;
-      p.value -= velocity_[i] * lr_;
-    } else {
-      p.value -= p.grad * lr_;
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
            double beta2, double eps, double weight_decay)
     : Optimizer(std::move(params)),

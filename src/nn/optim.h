@@ -1,5 +1,7 @@
 // First-order optimizers. The paper trains/fine-tunes the GON with Adam
-// (lr 1e-4, weight decay 1e-5); SGD is kept for tests and baselines.
+// (lr 1e-4, weight decay 1e-5), and every learned baseline uses Adam too.
+// Step reads Parameter::grad, which Tape::Backward accumulates into, so a
+// training step is ZeroGrad, one Backward, Step.
 #ifndef CAROL_NN_OPTIM_H_
 #define CAROL_NN_OPTIM_H_
 
@@ -22,18 +24,6 @@ class Optimizer {
 
  protected:
   std::vector<Parameter*> params_;
-};
-
-// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, double lr, double momentum = 0.0);
-  void Step() override;
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<Matrix> velocity_;
 };
 
 // Adam with decoupled weight decay (AdamW-style, matching PyTorch's

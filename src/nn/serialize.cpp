@@ -62,6 +62,10 @@ void SaveParameters(Module& module, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("SaveParameters: cannot open " + path);
   SaveParametersBinary(module, out);
+  // A small image sits in the stream buffer until the close flushes it,
+  // so a full disk or an I/O error shows only here.
+  out.close();
+  if (!out) throw std::runtime_error("SaveParameters: cannot write " + path);
 }
 
 void LoadParameters(Module& module, const std::string& path) {

@@ -29,7 +29,8 @@ void SaveParametersBinary(Module& module, std::ostream& out);
 void LoadParametersBinary(Module& module, std::istream& in);
 
 // File wrappers over the same image. Both also throw std::runtime_error
-// when `path` cannot be opened.
+// when `path` cannot be opened; SaveParameters also when closing the
+// file fails, since that is when a small image is written.
 void SaveParameters(Module& module, const std::string& path);
 void LoadParameters(Module& module, const std::string& path);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <future>
 #include <limits>
 #include <span>
@@ -213,22 +212,6 @@ ResilienceService::ResilienceService(const ServiceConfig& config,
     RestoreFromSnapshot(snapshot);
   } catch (...) {
     Shutdown();  // the delegated ctor started workers; stop them
-    throw;
-  }
-}
-
-ResilienceService::ResilienceService(const ServiceConfig& config,
-                                     const std::string& snapshot_path)
-    : ResilienceService(config) {
-  try {
-    std::ifstream in(snapshot_path, std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("ResilienceService: cannot open snapshot " +
-                               snapshot_path);
-    }
-    RestoreFromSnapshot(in);
-  } catch (...) {
-    Shutdown();
     throw;
   }
 }
@@ -1357,14 +1340,6 @@ void ResilienceService::SaveSnapshot(std::ostream& out) const {
   w.U64(ordered.size());
   for (const Session* session : ordered) WriteSession(w, *session);
   w.CheckOk("ResilienceService::SaveSnapshot");
-}
-
-void ResilienceService::SaveSnapshot(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("ResilienceService: cannot open " + path);
-  }
-  SaveSnapshot(out);
 }
 
 void ResilienceService::RestoreFromSnapshot(std::istream& in) {

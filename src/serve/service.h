@@ -252,7 +252,7 @@ struct ServiceStats {
 class ResilienceService {
  public:
   explicit ResilienceService(const ServiceConfig& config);
-  // Restore constructors: build a fresh service (workers, replicas) from
+  // Restore constructor: build a fresh service (workers, replicas) from
   // `config`, then load a SaveSnapshot image — master weights + weight
   // epoch, every session (config, rng stream, confidence-gate state,
   // any parked mid-repair search) and the session-id counter. Driving
@@ -261,8 +261,6 @@ class ResilienceService {
   // for the format versioning policy). Throws common::BinaryFormatError
   // on foreign/truncated input.
   ResilienceService(const ServiceConfig& config, std::istream& snapshot);
-  ResilienceService(const ServiceConfig& config,
-                    const std::string& snapshot_path);
   ~ResilienceService();
 
   ResilienceService(const ResilienceService&) = delete;
@@ -309,7 +307,6 @@ class ResilienceService {
   // binary; see src/serve/README.md). Throws std::logic_error unless
   // the service is quiescent.
   void SaveSnapshot(std::ostream& out) const;
-  void SaveSnapshot(const std::string& path) const;
 
   // --- shared-surrogate management -------------------------------------
   // Offline-trains the master on the trace Lambda and broadcasts the new

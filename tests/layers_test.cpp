@@ -2,8 +2,11 @@
 // through Dense/MLP/GAT/LSTM, and the GAN loss.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/autograd.h"
@@ -52,16 +55,14 @@ TEST(DenseTest, GradientsFlowToParameters) {
   Value x = tape.Leaf(Matrix::Randn(4, 3, rng));
   Value loss = tape.MeanAll(layer.Forward(tape, x));
   tape.Backward(loss);
-  layer.CollectGrads();
   EXPECT_GT(layer.weight().grad.Norm(), 0.0);
   EXPECT_GT(layer.bias().grad.Norm(), 0.0);
 }
 
-TEST(DenseTest, CollectGradsSumsAcrossMinibatchBindings) {
+TEST(DenseTest, BackwardSumsAcrossMinibatchBindings) {
   common::Rng rng(3);
   Dense layer(2, 1, rng);
   Tape tape;
-  layer.ClearBindings();
   // Two forward passes on the same tape (two minibatch samples).
   Value x1 = tape.Leaf(Matrix::Ones(1, 2));
   Value x2 = tape.Leaf(Matrix::Ones(1, 2) * 2.0);
@@ -69,7 +70,6 @@ TEST(DenseTest, CollectGradsSumsAcrossMinibatchBindings) {
       tape.Add(tape.SumAll(layer.Forward(tape, x1)),
                tape.SumAll(layer.Forward(tape, x2)));
   tape.Backward(loss);
-  layer.CollectGrads();
   // d(loss)/d(bias) = 1 + 1 = 2 (one per forward).
   EXPECT_NEAR(layer.bias().grad(0, 0), 2.0, 1e-12);
   // d(loss)/dW = x1 + x2 = [3, 3]^T per column.
@@ -151,7 +151,6 @@ TEST(GraphAttentionTest, GradientsFlowThroughAttention) {
   Value u = tape.Leaf(Matrix::Randn(4, 3, rng), /*requires_grad=*/true);
   Value loss = tape.MeanAll(GatForward(gat, tape, u, adj));
   tape.Backward(loss);
-  gat.CollectGrads();
   EXPECT_GT(u.grad().Norm(), 0.0);
   for (Parameter* p : gat.Parameters()) {
     EXPECT_GT(p->grad.Norm(), 0.0) << p->name;
@@ -199,7 +198,6 @@ TEST(LstmCellTest, UnrollGradientsReachParameters) {
   }
   Value loss = tape.MeanAll(state.h);
   tape.Backward(loss);
-  cell.CollectGrads();
   for (Parameter* p : cell.Parameters()) {
     EXPECT_GT(p->grad.Norm(), 0.0) << p->name;
   }
@@ -236,22 +234,98 @@ TEST(LossTest, GanDiscriminatorLossDirection) {
   EXPECT_NEAR(good, 0.0, 0.01);
 }
 
-TEST(ModuleTest, CollectGradsReachesNestedSubmodules) {
-  // Regression test: composite modules record bindings on their
-  // sub-layers; CollectGrads must traverse the module tree, otherwise
-  // multi-layer networks silently stop learning.
+TEST(ModuleTest, BackwardReachesNestedSubmodules) {
+  // Regression test: composite modules bind their sub-layers' parameters;
+  // Backward must reach every one of them, otherwise multi-layer networks
+  // silently stop learning.
   common::Rng rng(21);
   Mlp mlp({3, 6, 4, 2}, rng, "deep");
   Tape tape;
-  mlp.ClearBindings();
   Value loss = tape.MeanAll(mlp.Forward(tape, tape.Leaf(Matrix::Randn(
                                                     5, 3, rng))));
   tape.Backward(loss);
-  mlp.CollectGrads();
   for (Parameter* p : mlp.Parameters()) {
     EXPECT_GT(p->grad.Norm(), 0.0) << p->name;
   }
-  EXPECT_EQ(mlp.Children().size(), 3u);
+}
+
+// Bit images of every parameter gradient, comparable with ==.
+std::vector<std::uint64_t> GradBits(Module& module) {
+  std::vector<std::uint64_t> bits;
+  for (Parameter* p : module.Parameters()) {
+    for (double g : p->grad.flat()) {
+      bits.push_back(std::bit_cast<std::uint64_t>(g));
+    }
+  }
+  return bits;
+}
+
+// One training step's gradients on a new tape: zero, forward, Backward.
+void GradStep(Mlp& mlp, const Matrix& x, const Matrix& target) {
+  Tape tape;
+  mlp.ZeroGrad();
+  tape.Backward(MseLoss(tape, mlp.Forward(tape, tape.Leaf(x)), target));
+}
+
+TEST(ModuleTest, FrozenBuildRecordsNoParameterGradient) {
+  common::Rng rng(22);
+  common::Rng twin_rng(22);
+  Mlp mlp({3, 5, 2}, rng, "frozen");
+  Mlp twin({3, 5, 2}, twin_rng, "frozen");
+  const Matrix x = Matrix::Randn(4, 3, rng);
+  const Matrix target = Matrix::Randn(4, 2, rng);
+
+  // A frozen build still yields input gradients, but leaves every
+  // Parameter::grad exactly as it was.
+  for (Parameter* p : mlp.Parameters()) p->grad.Fill(7.0);
+  const std::vector<std::uint64_t> sentinel = GradBits(mlp);
+  Tape tape;
+  tape.Reset(/*param_grads=*/false);
+  Value in = tape.Leaf(x, /*requires_grad=*/true);
+  tape.Backward(MseLoss(tape, mlp.Forward(tape, in), target));
+  EXPECT_GT(in.grad().Norm(), 0.0);
+  EXPECT_EQ(GradBits(mlp), sentinel);
+
+  // A frozen build that throws mid-forward leaves nothing to restore: the
+  // next default build on the same tape records again, bit-equal to a
+  // fresh tape's gradients.
+  tape.Reset(/*param_grads=*/false);
+  Value h = mlp.Forward(tape, tape.Leaf(x));
+  EXPECT_THROW(mlp.Forward(tape, h), std::invalid_argument);
+  tape.Reset();
+  mlp.ZeroGrad();
+  tape.Backward(MseLoss(tape, mlp.Forward(tape, tape.Leaf(x)), target));
+  GradStep(twin, x, target);
+  EXPECT_EQ(GradBits(mlp), GradBits(twin));
+
+  // Clear also ends a frozen build: the next build records, as on a new
+  // tape.
+  tape.Reset(/*param_grads=*/false);
+  tape.Clear();
+  mlp.ZeroGrad();
+  tape.Backward(MseLoss(tape, mlp.Forward(tape, tape.Leaf(x)), target));
+  EXPECT_EQ(GradBits(mlp), GradBits(twin));
+}
+
+TEST(ModuleTest, ForwardOnADestroyedTapeLeavesNoBinding) {
+  // A module keeps no per-tape state: after a forward on a tape that is
+  // then destroyed, one training step on a new tape (with no clearing
+  // call) produces the gradients a fresh copy of the module produces.
+  common::Rng rng_a(23);
+  common::Rng rng_b(23);
+  Mlp used({3, 6, 2}, rng_a, "net");
+  Mlp fresh({3, 6, 2}, rng_b, "net");
+  common::Rng data_rng(24);
+  const Matrix x = Matrix::Randn(5, 3, data_rng);
+  const Matrix target = Matrix::Randn(5, 2, data_rng);
+  {
+    Tape gone;
+    used.Forward(gone, gone.Leaf(x));
+  }
+  GradStep(used, x, target);
+  GradStep(fresh, x, target);
+  EXPECT_GT(used.Parameters().front()->grad.Norm(), 0.0);
+  EXPECT_EQ(GradBits(used), GradBits(fresh));
 }
 
 TEST(ModuleTest, ZeroGradResets) {

@@ -25,18 +25,15 @@ TEST(NnIntegrationTest, MlpLearnsXor) {
   double loss = 1.0;
   for (int iter = 0; iter < 800 && loss > 1e-3; ++iter) {
     Tape tape;
-    net.ClearBindings();
     Value pred = net.Forward(tape, tape.Leaf(inputs));
     Value l = MseLoss(tape, pred, targets);
     opt.ZeroGrad();
     tape.Backward(l);
-    net.CollectGrads();
     opt.Step();
     loss = l.scalar();
   }
   EXPECT_LT(loss, 5e-3);
   Tape tape;
-  net.ClearBindings();
   const Matrix out = net.Forward(tape, tape.Leaf(inputs)).val();
   EXPECT_LT(out(0, 0), 0.2);
   EXPECT_GT(out(1, 0), 0.8);
@@ -80,8 +77,6 @@ TEST(NnIntegrationTest, LstmLearnsParityOfShortSequences) {
   double loss = 1.0;
   for (int epoch = 0; epoch < 600 && loss > 5e-3; ++epoch) {
     Tape tape;
-    cell.ClearBindings();
-    head.ClearBindings();
     Value total;
     for (std::size_t i = 0; i < seqs.size(); ++i) {
       Value pred = forward(tape, seqs[i]);
@@ -92,16 +87,12 @@ TEST(NnIntegrationTest, LstmLearnsParityOfShortSequences) {
     Value l = tape.Scale(total, 1.0 / 16.0);
     opt.ZeroGrad();
     tape.Backward(tape.SumAll(l));
-    cell.CollectGrads();
-    head.CollectGrads();
     opt.Step();
     loss = l.val()(0, 0);
   }
   EXPECT_LT(loss, 0.05);
   // Spot-check classification.
   Tape tape;
-  cell.ClearBindings();
-  head.ClearBindings();
   EXPECT_GT(forward(tape, {1, 0, 0, 0}).scalar(), 0.5);
   EXPECT_LT(forward(tape, {1, 1, 0, 0}).scalar(), 0.5);
 }
@@ -140,8 +131,6 @@ TEST(NnIntegrationTest, GatDistinguishesGraphStructure) {
   double loss = 1.0;
   for (int iter = 0; iter < 500 && loss > 1e-3; ++iter) {
     Tape tape;
-    gat.ClearBindings();
-    head.ClearBindings();
     Value p_star = forward(tape, star);
     Value p_tri = forward(tape, triangles);
     Value d1 = tape.Sub(p_star, tape.Leaf(Matrix(1, 1, 1.0)));
@@ -150,15 +139,11 @@ TEST(NnIntegrationTest, GatDistinguishesGraphStructure) {
                        tape.SumAll(tape.Mul(d2, d2)));
     opt.ZeroGrad();
     tape.Backward(l);
-    gat.CollectGrads();
-    head.CollectGrads();
     opt.Step();
     loss = l.val()(0, 0);
   }
   EXPECT_LT(loss, 0.05);
   Tape tape;
-  gat.ClearBindings();
-  head.ClearBindings();
   EXPECT_GT(forward(tape, star).scalar(), 0.7);
   EXPECT_LT(forward(tape, triangles).scalar(), 0.3);
 }
@@ -175,7 +160,6 @@ TEST(NnIntegrationTest, GanOnToyDistribution) {
 
   auto gen_sample = [&](double z) {
     Tape tape;
-    gen.ClearBindings();
     return gen.Forward(tape, tape.Leaf(Matrix(1, 1, z))).scalar();
   };
   const double before = gen_sample(0.0);
@@ -185,30 +169,22 @@ TEST(NnIntegrationTest, GanOnToyDistribution) {
     const double z = rng.Normal(0.0, 1.0);
     {  // discriminator step
       Tape tape;
-      gen.ClearBindings();
-      disc.ClearBindings();
       Value fake = gen.Forward(tape, tape.Leaf(Matrix(1, 1, z)));
       Value fake_detached = tape.Leaf(fake.val());
-      gen.ClearBindings();
       Value d_real = disc.Forward(tape, tape.Leaf(Matrix(1, 1, real)));
       Value d_fake = disc.Forward(tape, fake_detached);
       Value loss = GanDiscriminatorLoss(tape, d_real, d_fake);
       disc_opt.ZeroGrad();
       tape.Backward(loss);
-      disc.CollectGrads();
       disc_opt.Step();
     }
     {  // generator step
       Tape tape;
-      gen.ClearBindings();
-      disc.ClearBindings();
       Value fake = gen.Forward(tape, tape.Leaf(Matrix(1, 1, z)));
       Value d_fake = disc.Forward(tape, fake);
       Value loss = tape.Neg(tape.SumAll(tape.Log(d_fake)));
       gen_opt.ZeroGrad();
       tape.Backward(loss);
-      gen.CollectGrads();
-      disc.ClearBindings();
       gen_opt.Step();
     }
   }

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "common/rng.h"
 #include "nn/autograd.h"
@@ -15,14 +16,13 @@
 namespace carol::nn {
 namespace {
 
-// Trains y = xW + b to fit a known linear map; both optimizers must reduce
+// Trains y = xW + b to fit a known linear map; the optimizer must reduce
 // the loss by orders of magnitude.
 double TrainLinear(Optimizer& opt, Dense& layer, common::Rng& rng) {
   const Matrix true_w = {{2.0}, {-1.0}};
   double last_loss = 0.0;
   for (int iter = 0; iter < 400; ++iter) {
     Tape tape;
-    layer.ClearBindings();
     Matrix x = Matrix::Randn(8, 2, rng);
     Matrix y = x.MatMul(true_w);
     for (auto& v : y.flat()) v += 0.5;  // bias target
@@ -30,28 +30,10 @@ double TrainLinear(Optimizer& opt, Dense& layer, common::Rng& rng) {
     Value loss = MseLoss(tape, pred, y);
     opt.ZeroGrad();
     tape.Backward(loss);
-    layer.CollectGrads();
     opt.Step();
     last_loss = loss.scalar();
   }
   return last_loss;
-}
-
-TEST(SgdTest, ConvergesOnLinearRegression) {
-  common::Rng rng(1);
-  Dense layer(2, 1, rng);
-  Sgd opt(layer.Parameters(), 0.05);
-  EXPECT_LT(TrainLinear(opt, layer, rng), 1e-3);
-  EXPECT_NEAR(layer.weight().value(0, 0), 2.0, 0.05);
-  EXPECT_NEAR(layer.weight().value(1, 0), -1.0, 0.05);
-  EXPECT_NEAR(layer.bias().value(0, 0), 0.5, 0.05);
-}
-
-TEST(SgdTest, MomentumConverges) {
-  common::Rng rng(2);
-  Dense layer(2, 1, rng);
-  Sgd opt(layer.Parameters(), 0.02, 0.9);
-  EXPECT_LT(TrainLinear(opt, layer, rng), 1e-3);
 }
 
 TEST(AdamTest, ConvergesOnLinearRegression) {
@@ -88,7 +70,7 @@ TEST(AdamTest, LearningRateAccessors) {
 TEST(OptimizerTest, NumParametersAndZeroGrad) {
   common::Rng rng(6);
   Mlp mlp({3, 4, 2}, rng);
-  Sgd opt(mlp.Parameters(), 0.1);
+  Adam opt(mlp.Parameters(), 0.1);
   EXPECT_EQ(opt.num_parameters(), mlp.ParameterCount());
   for (Parameter* p : mlp.Parameters()) p->grad.Fill(1.0);
   opt.ZeroGrad();
@@ -125,6 +107,16 @@ TEST(SerializeTest, MismatchedShapeThrows) {
   SaveParameters(a, path);
   EXPECT_THROW(LoadParameters(c, path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(SerializeTest, FailedCloseThrows) {
+  // /dev/full accepts the open and fails every write. The image is small
+  // enough to sit in the stream buffer, so the failure surfaces only when
+  // the file is closed.
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full unavailable";
+  common::Rng rng(10);
+  Dense layer(2, 2, rng);
+  EXPECT_THROW(SaveParameters(layer, "/dev/full"), std::runtime_error);
 }
 
 TEST(SerializeTest, MissingFileThrows) {

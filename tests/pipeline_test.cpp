@@ -372,6 +372,27 @@ TEST(RepairJobTest, ReproducesReferencePlanRepair) {
   EXPECT_EQ(job_rng.Choice(1000), reference_rng.Choice(1000));
 }
 
+TEST(RepairJobTest, CopiesATemporaryFailedBrokerList) {
+  // A job built from a temporary two-broker list reads the list again
+  // after its first search ends; it must plan exactly like a job built
+  // from a named list, decision and rng stream alike.
+  const CarolConfig config;
+  const std::vector<sim::NodeId> failed = {0, 4};
+  const sim::SystemSnapshot snap = MakeFailureSnapshot(16, 4, failed);
+
+  common::Rng named_rng(config.seed);
+  RepairJob named(snap.topology, failed, snap, config, &named_rng);
+  while (!named.done()) named.Advance(ToyScores(named.ProposeFrontier()));
+
+  common::Rng temp_rng(config.seed);
+  RepairJob temp(snap.topology, std::vector<sim::NodeId>{0, 4}, snap, config,
+                 &temp_rng);
+  while (!temp.done()) temp.Advance(ToyScores(temp.ProposeFrontier()));
+
+  EXPECT_TRUE(temp.result() == named.result());
+  EXPECT_EQ(temp_rng.Choice(1000), named_rng.Choice(1000));
+}
+
 TEST(RepairJobTest, PlanDecisionMatchesStepDriving) {
   const CarolConfig config;
   const std::vector<sim::NodeId> failed = {0};
